@@ -5,22 +5,29 @@ expects them, once displaced by 10 cm. The first run lands every ray in the
 aperture; the second shows the beam landing where the user used to be.
 """
 
-from pwesim import (Captured, ExperimentConfig, Static, TracerConfig,
-                    build_schedule, materialize_normals, received_power)
+import math
+
+from pwesim import (Captured, Escaped, ExperimentConfig, Static, Terminated,
+                    TracerConfig, build_schedule, materialize_normals,
+                    trace_ray, tx_ray_fan)
 
 N_RAYS = 9
 
 
-def describe(tag: str, outcome) -> None:
+def describe(tag: str, rays, fates) -> None:
     print(f"-- {tag} --")
-    for k, rec in enumerate(outcome.per_ray_records):
+    for k, rec in enumerate(fates):
         fate = type(rec).__name__.lower()
         pts = " -> ".join(f"({p.x:.2f}, {p.y:.2f})" for p in rec.path)
         extra = f", {rec.power:.4f} W" if isinstance(rec, Captured) else ""
         print(f"ray {k}: {fate}{extra}: {pts}")
-    print(f"captured {outcome.captured_power:.4f} W, "
-          f"escaped {outcome.escaped_power:.4f} W, "
-          f"terminated {outcome.terminated_power:.4f} W")
+    captured = math.fsum(f.power for f in fates if isinstance(f, Captured))
+    escaped = math.fsum(r.power for r, f in zip(rays, fates)
+                        if isinstance(f, Escaped))
+    lost = math.fsum(r.power for r, f in zip(rays, fates)
+                     if isinstance(f, Terminated))
+    print(f"captured {captured:.4f} W, escaped {escaped:.4f} W, "
+          f"terminated {lost:.4f} W")
 
 
 def main() -> None:
@@ -29,12 +36,13 @@ def main() -> None:
     sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
                          250, cfg.tx_step)
     panel = materialize_normals(sch, scene)
-    tracer = TracerConfig(n_rays=N_RAYS, max_bounces=4, record_paths=True)
+    tracer = TracerConfig(n_rays=N_RAYS, max_bounces=4)
 
-    outcomes = {}
+    fans = {}
     for d in (0.0, 0.1):
-        outcomes[d] = received_power(scene, panel, d, tracer, total_power=0.1)
-        describe(f"static schedule, dislocation {d} m", outcomes[d])
+        rays = tx_ray_fan(scene, d, N_RAYS, total_power=0.1)
+        fans[d] = [trace_ray(scene, panel, ray, tracer) for ray in rays]
+        describe(f"static schedule, dislocation {d} m", rays, fans[d])
         print()
 
     try:
@@ -46,7 +54,7 @@ def main() -> None:
         return
 
     fig, axes = plt.subplots(1, 2, figsize=(11, 4), sharey=True)
-    for ax, (d, out) in zip(axes, outcomes.items()):
+    for ax, (d, fates) in zip(axes, fans.items()):
         ax.axhline(0.0, color="0.3")
         ax.axhline(scene.ceiling_height, color="0.3")
         circle = plt.Circle((scene.rx_aperture.center.x,
@@ -54,7 +62,7 @@ def main() -> None:
                             scene.rx_aperture.radius, color="tab:green",
                             fill=False, lw=2)
         ax.add_patch(circle)
-        for rec in out.per_ray_records:
+        for rec in fates:
             xs = [p.x for p in rec.path]
             ys = [p.y for p in rec.path]
             color = "tab:blue" if isinstance(rec, Captured) else "tab:red"

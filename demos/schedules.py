@@ -8,7 +8,7 @@ fixed cadence and cycles the rest in between.
 
 from collections import Counter
 
-from pwesim import Biased, Static, Unbiased, build_schedule, schedule_stats
+from pwesim import Biased, Static, Unbiased, build_schedule
 
 TX_STEP = 0.002
 
@@ -40,10 +40,10 @@ def main() -> None:
               f"other counts span [{min(others)}, {max(others)}]")
 
     print()
-    print("== stats helper ==")
+    print("== position counts ==")
     sch = build_schedule(Unbiased(), 999, 12, TX_STEP)
-    stats = schedule_stats(sch)
-    print(f"unbiased over 1000 steps, 13 positions: counts {dict(stats)}")
+    counts = Counter(sch.assignment)
+    print(f"unbiased over 1000 steps, 13 positions: counts {dict(counts)}")
 
 
 if __name__ == "__main__":

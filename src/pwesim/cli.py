@@ -12,16 +12,18 @@ failures such as unwritable output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .experiment import (ConfigError, ExperimentConfig, _fmt, _scheme_curves,
-                         dbm_to_watts, emit_csv, load_config, run_sweep)
+                         _scheme_schedules, dbm_to_watts, emit_csv,
+                         load_config, run_sweep)
 from .latency import dislocation, total_latency
-from .scene import _ceil_count
-from .steering import Biased, Static, Unbiased, build_schedule
-from .tracer import Captured, TracerConfig, received_power
+from .scene import tx_ray_fan
+from .steering import materialize_normals
+from .tracer import Captured, trace_ray
 
 
 def _fmt_trim(x: float) -> str:
@@ -64,45 +66,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     scene = cfg.scene()
     panel = _select_curve(cfg, scene, args.scheme, args.bias_p)
-    tracer_cfg = TracerConfig(n_rays=args.rays, max_bounces=cfg.max_bounces,
-                              spreading=cfg.tracer_config().spreading,
-                              record_paths=True, rx_cone_gate=cfg.rx_cone)
-    outcome = received_power(scene, panel, args.dx, tracer_cfg,
-                             dbm_to_watts(cfg.tx_power_dbm))
-    assert outcome.per_ray_records is not None
+    tracer_cfg = cfg.tracer_config()
+    rays = tx_ray_fan(scene, args.dx, args.rays,
+                      dbm_to_watts(cfg.tx_power_dbm))
+    fates = [trace_ray(scene, panel, ray, tracer_cfg) for ray in rays]
     lines = ["ray,fate,delivered_w,vertex,x_m,y_m"]
-    for i, fate in enumerate(outcome.per_ray_records):
+    for i, fate in enumerate(fates):
         kind = type(fate).__name__.lower()
         delivered = _fmt(fate.power) if isinstance(fate, Captured) else ""
         for v, pt in enumerate(fate.path):
             lines.append(f"{i},{kind},{delivered},{v},{_fmt(pt.x)},{_fmt(pt.y)}")
     with open(args.paths, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.paths}: {len(outcome.per_ray_records)} rays at"
-          f" d_x = {_fmt_trim(args.dx)} m,"
-          f" captured {_fmt_trim(outcome.captured_power)} W")
+    captured = math.fsum(f.power for f in fates if isinstance(f, Captured))
+    print(f"wrote {args.paths}: {len(fates)} rays at"
+          f" d_x = {_fmt_trim(args.dx)} m, captured {_fmt_trim(captured)} W")
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     scene = cfg.scene()
-    subunits = scene.ceiling.subunit_count
     lines = ["scheme,bias_p,i,j,normal_x,normal_y"]
-    for label, p, panel in _scheme_curves(cfg, scene):
-        if label == "baseline":
+    for label, p, schedule in _scheme_schedules(cfg, scene):
+        if schedule is None:
             continue
-        if label == "static":
-            mode = Static()
-        elif label == "unbiased":
-            mode = Unbiased()
-        else:
-            mode = Biased(p, cfg.j_c)
-        stop = cfg.sweep_stop
-        j_max = 0 if stop == 0 else _ceil_count(stop, cfg.tx_step)
-        schedule = build_schedule(mode, subunits - 1, j_max, cfg.tx_step)
         bias = _fmt(p) if p is not None else ""
-        normals = panel.normals_array()
+        normals = materialize_normals(schedule, scene).normals_array()
         for i, j in enumerate(schedule.assignment):
             lines.append(",".join((label, bias, str(i), str(j),
                                    _fmt(float(normals[i, 0])),

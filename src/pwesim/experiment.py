@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .geometry import Circle, Vec2
 from .latency import LatencyBudget, MobilityModel
 from .scene import Antenna, HsfPanel, Scene, _ceil_count, mirror_panel
-from .steering import Biased, Static, SteeringMode, Unbiased, \
+from .steering import Biased, Schedule, Static, SteeringMode, Unbiased, \
     build_schedule, materialize_normals
 from .tracer import Spreading, TracerConfig, received_power
 
@@ -45,9 +46,16 @@ class ExperimentConfig:
     rx_y_rel: float = 1.4
     subunit_length: float = 0.001
     tx_step: float = 0.002
+    # Capture radius of the receive aperture. Not a corridor dimension; it
+    # sets the effective spot size the tracer counts as "received". 0.08
+    # keeps the uncontrolled mirror-ceiling baseline above a 10% capture
+    # fraction, the floor the steered schemes are judged against; smaller
+    # radii starve it.
     aperture: float = 0.08
     tx_beam_deg: float = 30.0
     rx_beam_deg: float = 60.0
+    # Tilted counter-clockwise from straight up so the receiver faces the
+    # ceiling patch that the steering schemes illuminate.
     rx_tilt_ccw_deg: float = 77.0
     tx_power_dbm: float = 20.0
     latency_sensing: float = 0.0
@@ -295,32 +303,41 @@ class SweepResult:
     emitted_w: float
 
 
-def _scheme_curves(cfg: ExperimentConfig, scene: Scene):
-    """Ordered (label, bias_p, panel) triples, one per sweep curve."""
-    subunits = scene.ceiling.subunit_count
+def _scheme_schedules(cfg: ExperimentConfig, scene: Scene
+                      ) -> Iterator[tuple[str, float | None, Schedule | None]]:
+    """(label, bias_p, schedule) per sweep curve, in order, built lazily.
+
+    The baseline curve is the unsteered mirror ceiling and has no schedule.
+    """
+    i_max = scene.ceiling.subunit_count - 1
     stop = cfg.sweep_stop
     j_max = 0 if stop == 0 else _ceil_count(stop, cfg.tx_step)
 
-    def panel_for(mode: SteeringMode) -> HsfPanel:
-        schedule = build_schedule(mode, subunits - 1, j_max, cfg.tx_step)
-        return materialize_normals(schedule, scene)
+    def schedule(mode: SteeringMode) -> Schedule:
+        return build_schedule(mode, i_max, j_max, cfg.tx_step)
 
-    curves: list[tuple[str, float | None, HsfPanel]] = []
     for mode in cfg.modes:
         if mode == "static":
-            curves.append(("static", None, panel_for(Static())))
+            yield "static", None, schedule(Static())
         elif mode == "unbiased":
-            curves.append(("unbiased", None, panel_for(Unbiased())))
+            yield "unbiased", None, schedule(Unbiased())
         elif mode == "biased":
             if cfg.j_c > j_max:
                 raise ConfigError(
                     f"steering.j_c: {cfg.j_c} exceeds the largest position"
                     f" index {j_max} for this sweep")
             for p in cfg.bias_p:
-                curves.append(("biased", p, panel_for(Biased(p, cfg.j_c))))
+                yield "biased", p, schedule(Biased(p, cfg.j_c))
         elif mode == "baseline":
-            curves.append(("baseline", None, scene.ceiling))
-    return curves
+            yield "baseline", None, None
+
+
+def _scheme_curves(cfg: ExperimentConfig, scene: Scene
+                   ) -> list[tuple[str, float | None, HsfPanel]]:
+    """Ordered (label, bias_p, panel) triples, one per sweep curve."""
+    return [(label, p, scene.ceiling if schedule is None
+             else materialize_normals(schedule, scene))
+            for label, p, schedule in _scheme_schedules(cfg, scene)]
 
 
 def _trace_point(args):

@@ -110,46 +110,6 @@ def reflect(incident: Vec2, normal: Vec2) -> Vec2:
     return Vec2(incident.x - k * normal.x, incident.y - k * normal.y)
 
 
-def ray_segment_intersection(
-    ray: Ray, seg_a: Vec2, seg_b: Vec2
-) -> tuple[Vec2, float] | None:
-    """Intersection of a forward ray with the segment from seg_a to seg_b.
-
-    Returns (point, t) with t > FORWARD_EPS, or None when the ray misses,
-    points away, or runs parallel to the segment. Collinear overlap is
-    treated as parallel (no single nearest point).
-    """
-    seg = seg_b - seg_a
-    if seg.x == 0.0 and seg.y == 0.0:
-        raise ValueError("degenerate segment: endpoints coincide")
-    d = ray.direction
-    denom = d.cross(seg)
-    if abs(denom) < 1e-15:
-        return None
-    rel = seg_a - ray.origin
-    t = rel.cross(seg) / denom
-    u = rel.cross(d) / denom
-    if t <= FORWARD_EPS or u < 0.0 or u > 1.0:
-        return None
-    return ray.point_at(t), t
-
-
-def ray_circle_intersection(ray: Ray, circle: Circle) -> bool:
-    """True iff the forward half-line passes within circle.radius of center.
-
-    A circle strictly behind the origin does not count, but an origin that
-    already sits inside the circle does.
-    """
-    m = circle.center - ray.origin
-    s = m.dot(ray.direction)
-    if s < 0.0:
-        dist = m.norm  # closest forward point is the origin itself
-    else:
-        dist2 = m.dot(m) - s * s
-        dist = math.sqrt(max(dist2, 0.0))
-    return dist <= circle.radius
-
-
 def angle_between(a: Vec2, b: Vec2) -> float:
     """Angle in [0, pi] between two unit vectors.
 

@@ -5,6 +5,8 @@ panel at y = ceiling_height, and the open ends at corridor_x_min/max let
 rays escape. The mobile transmitter sits at user height on the floor axis
 and fires a fan of rays upward; a wall-mounted receive antenna with a small
 circular aperture collects whatever the ceiling redirects back down.
+The reference corridor's dimensions are the defaults of
+`experiment.ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -16,41 +18,20 @@ import numpy as np
 
 from .geometry import Circle, Ray, Vec2, _require_unit, angle_between
 
-DEG = math.pi / 180.0
-
-# Default corridor per the reference setup: 3 m ceiling, 5 m long section
-# with the user origin 1 m from the left end, user antenna at 1 m height.
-DEFAULT_CEILING_HEIGHT = 3.0
-DEFAULT_CORRIDOR_LENGTH = 5.0
-DEFAULT_USER_OFFSET = 1.0
-DEFAULT_USER_HEIGHT = 1.0
-# Receiver: 3.6 m down-corridor, 1.4 m above user height (2.4 m absolute),
-# tilted 77 degrees counter-clockwise from straight up so it faces the
-# ceiling patch that the steering schemes illuminate.
-DEFAULT_RX_X = 3.6
-DEFAULT_RX_Y_REL = 1.4
-DEFAULT_RX_TILT = 77.0 * DEG
-# Beam angles are full cone widths: 30 degree transmit, 60 degree receive.
-DEFAULT_TX_HALFWIDTH = 15.0 * DEG
-DEFAULT_RX_HALFWIDTH = 30.0 * DEG
-# Ceiling control resolution and the user position grid step.
-DEFAULT_SUBUNIT_LENGTH = 0.001
-DEFAULT_TX_STEP = 0.002
-# Capture radius of the receive aperture. Not a corridor dimension; it sets
-# the effective spot size the tracer counts as "received". 0.08 keeps the
-# uncontrolled mirror-ceiling baseline above a 10% capture fraction, the
-# floor the steered schemes are judged against; smaller radii starve it.
-DEFAULT_APERTURE_RADIUS = 0.08
-
 
 def _ceil_count(span: float, step: float) -> int:
-    """ceil(span / step) with a relative guard against float drift.
+    """ceil(span / step) with a guard against float drift.
 
     5.0 / 0.001 lands on 4999.999999999999; a bare ceil of a value one ulp
-    above an integer would add a phantom cell instead.
+    above an integer would add a phantom cell instead. A quotient within a
+    relative 1e-9 of an integer snaps to it; the snap never reaches past a
+    quarter cell, so at spans of 1e9 cells and more it cannot eat a whole one.
     """
     q = span / step
-    return int(math.ceil(q - 1e-9 * max(q, 1.0)))
+    n = round(q)
+    if abs(q - n) <= min(1e-9 * max(q, 1.0), 0.25):
+        return n
+    return math.ceil(q)
 
 
 @dataclass(frozen=True)
@@ -190,33 +171,6 @@ class Scene:
             raise ValueError("tx antenna must sit at user_height")
         if self.ceiling.y_height != self.ceiling_height:
             raise ValueError("ceiling panel height must match ceiling_height")
-
-
-def build_default_scene(aperture_radius: float = DEFAULT_APERTURE_RADIUS) -> Scene:
-    """Reference corridor with a plain mirror ceiling.
-
-    Steering code swaps in configured panels; the default panel is the
-    uncontrolled all-mirror state.
-    """
-    x_min = -DEFAULT_USER_OFFSET
-    x_max = DEFAULT_CORRIDOR_LENGTH - DEFAULT_USER_OFFSET
-    panel = mirror_panel(DEFAULT_CEILING_HEIGHT, x_min, x_max,
-                         DEFAULT_SUBUNIT_LENGTH)
-    rx_pos = Vec2(DEFAULT_RX_X, DEFAULT_USER_HEIGHT + DEFAULT_RX_Y_REL)
-    # +y rotated counter-clockwise by the tilt angle.
-    boresight = Vec2(-math.sin(DEFAULT_RX_TILT), math.cos(DEFAULT_RX_TILT))
-    return Scene(
-        ceiling=panel,
-        floor_y=0.0,
-        corridor_x_min=x_min,
-        corridor_x_max=x_max,
-        tx=Antenna(Vec2(0.0, DEFAULT_USER_HEIGHT), Vec2(0.0, 1.0),
-                   DEFAULT_TX_HALFWIDTH),
-        rx=Antenna(rx_pos, boresight, DEFAULT_RX_HALFWIDTH),
-        rx_aperture=Circle(rx_pos, aperture_radius),
-        user_height=DEFAULT_USER_HEIGHT,
-        ceiling_height=DEFAULT_CEILING_HEIGHT,
-    )
 
 
 def fan_directions(boresight: Vec2, beam_halfwidth: float,

@@ -9,7 +9,6 @@ from position j straight into the receiver.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +178,3 @@ def materialize_normals(schedule: Schedule, scene: Scene) -> HsfPanel:
         normals[i, 1] = n.y
     return HsfPanel(base.y_height, base.x_start, base.x_end,
                     base.subunit_length, normals)
-
-
-def schedule_stats(schedule: Schedule) -> dict[int, int]:
-    """Occurrence count per position index, for share checks."""
-    return dict(Counter(schedule.assignment))

@@ -6,6 +6,10 @@ aperture, escape through an open corridor end, or exhaust the bounce
 budget. Capture is tested on every straight segment before the next
 surface hit, so a ray cannot fly through the aperture unnoticed.
 
+`received_power` runs the whole fan through one vectorized kernel that only
+sums power. `trace_ray` follows a single ray with the same arithmetic in
+plain floats and records its polyline; it is the kernel's per-ray reference.
+
 The same single-bounce transport integral is also available as a midpoint
 quadrature over the ceiling footprint; tracer and quadrature are two
 independent discretizations of one integral and serve as mutual oracles.
@@ -40,7 +44,6 @@ class TracerConfig:
     n_rays: int = 100001
     max_bounces: int = 16
     spreading: Spreading = Spreading.GEOMETRIC
-    record_paths: bool = False
     # Gate capture on the receive antenna cone as well as the aperture disc.
     # Off by default: an all-mirror corridor delivers rays almost vertically,
     # far outside the 60 degree receiver cone, and gating would zero the
@@ -86,25 +89,20 @@ class TraceOutcome:
     captured_power: float
     escaped_power: float
     terminated_power: float
-    per_ray_records: tuple[RayFate, ...] | None = None
 
     @property
     def total_power(self) -> float:
         return self.captured_power + self.escaped_power + self.terminated_power
 
 
-_ALIVE, _CAPTURED, _ESCAPED, _TERMINATED = 0, 1, 2, 3
-
-
 def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
-                 bounce, cfg: TracerConfig):
-    """Trace a bundle of rays; returns bucket sums and optional records.
+                 cfg: TracerConfig) -> tuple[float, float, float]:
+    """Trace unbounced rays; returns (captured, escaped, terminated) sums.
 
     All per-step work is vectorized over the still-alive subset. Power sums
     accumulate per step in fixed array order, so the result is deterministic
     for a given input bundle regardless of process or worker count.
     """
-    n = len(ox)
     ceil_y = panel.y_height
     floor_y = scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
@@ -117,30 +115,18 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
         cos_min = math.cos(scene.rx.beam_halfwidth)
         bs_x, bs_y = scene.rx.boresight.x, scene.rx.boresight.y
 
-    ox = np.asarray(ox, float).copy()
-    oy = np.asarray(oy, float).copy()
-    dx = np.asarray(dx, float).copy()
-    dy = np.asarray(dy, float).copy()
-    power = np.asarray(power, float).copy()
-    bounce = np.asarray(bounce, int).copy()
-    cum_len = np.zeros(n)
-    gi = np.arange(n)  # original ray index of each alive slot
+    ox = np.asarray(ox, float)
+    oy = np.asarray(oy, float)
+    dx = np.asarray(dx, float)
+    dy = np.asarray(dy, float)
+    power = np.asarray(power, float)
+    cum_len = np.zeros(len(ox))
 
     captured = escaped = terminated = 0.0
-    record = cfg.record_paths
-    if record:
-        status = np.full(n, _ALIVE, dtype=np.int8)
-        delivered = np.zeros(n)
-        paths: list[list[Vec2]] = [[Vec2(float(x), float(y))]
-                                   for x, y in zip(ox, oy)]
-
-    def _log_points(idx, px, py):
-        for k, x, y in zip(idx, px, py):
-            paths[k].append(Vec2(float(x), float(y)))
-
     inf = np.inf
-    for _ in range(cfg.max_bounces + 2):
-        if len(gi) == 0:
+    # every live ray has made exactly `step` surface bounces so far
+    for step in range(cfg.max_bounces + 1):
+        if len(ox) == 0:
             break
         # nearest surface along each ray; invalid directions give inf
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,7 +140,7 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
         t_left = np.where(t_left > FORWARD_EPS, t_left, inf)
         t_all = np.stack((t_ceil, t_floor, t_right, t_left))
         surf = np.argmin(t_all, axis=0)
-        t_surf = t_all[surf, np.arange(len(gi))]
+        t_surf = t_all[surf, np.arange(len(ox))]
 
         # aperture capture on this segment, before the surface
         mx = rx.x - ox
@@ -165,18 +151,12 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
         if cfg.rx_cone_gate:
             cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
         if np.any(cap):
-            s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
             if inv_sq:
+                s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
                 gain = 1.0 / (cum_len[cap] + s_entry) ** 2
-                step_power = power[cap] * gain
+                captured += float(np.sum(power[cap] * gain))
             else:
-                step_power = power[cap]
-            captured += float(np.sum(step_power))
-            if record:
-                status[gi[cap]] = _CAPTURED
-                delivered[gi[cap]] = step_power
-                _log_points(gi[cap], ox[cap] + s_entry * dx[cap],
-                            oy[cap] + s_entry * dy[cap])
+                captured += float(np.sum(power[cap]))
 
         live = ~cap
         no_surface = live & ~np.isfinite(t_surf)
@@ -184,29 +164,19 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
             # nowhere to go (should not happen for unit directions);
             # absorb to preserve the power ledger
             terminated += float(np.sum(power[no_surface]))
-            if record:
-                status[gi[no_surface]] = _TERMINATED
             live &= ~no_surface
-
-        hx = ox + t_surf * dx
-        hy = oy + t_surf * dy
 
         out = live & (surf >= 2)  # open corridor ends
         if np.any(out):
             escaped += float(np.sum(power[out]))
-            if record:
-                status[gi[out]] = _ESCAPED
-                _log_points(gi[out], hx[out], hy[out])
             live &= ~out
 
-        spent = live & (bounce >= cfg.max_bounces)
-        if np.any(spent):
-            terminated += float(np.sum(power[spent]))
-            if record:
-                status[gi[spent]] = _TERMINATED
-                _log_points(gi[spent], hx[spent], hy[spent])
-            live &= ~spent
+        if step == cfg.max_bounces:
+            # bounce budget spent: absorb every ray still in flight
+            terminated += float(np.sum(power[live]))
+            break
 
+        hx = ox + t_surf * dx
         new_dx = dx.copy()
         new_dy = dy.copy()
         on_floor = live & (surf == 1)
@@ -227,66 +197,89 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
             new_dy[on_ceil] = ry_dir / norm
             # a virtual normal may send the ray back out through the panel;
             # the surface cannot transmit, so treat that as absorbed
-            bad = np.zeros(len(gi), dtype=bool)
+            bad = np.zeros(len(ox), dtype=bool)
             bad[on_ceil] = new_dy[on_ceil] >= 0.0
             if np.any(bad):
                 terminated += float(np.sum(power[bad]))
-                if record:
-                    status[gi[bad]] = _TERMINATED
-                    _log_points(gi[bad], hx[bad], hy[bad])
                 live &= ~bad
-                on_ceil &= ~bad
-
-        if record and np.any(live):
-            _log_points(gi[live], hx[live], hy[live])
 
         # compact to the surviving subset and advance
-        keep = live
-        snap_y = np.where(surf == 0, ceil_y, floor_y)
-        ox = hx[keep]
-        oy = snap_y[keep]
-        dx = new_dx[keep]
-        dy = new_dy[keep]
-        cum_len = cum_len[keep] + t_surf[keep]
-        power = power[keep]
-        bounce = bounce[keep] + 1
-        gi = gi[keep]
+        ox = hx[live]
+        oy = np.where(surf[live] == 0, ceil_y, floor_y)
+        dx = new_dx[live]
+        dy = new_dy[live]
+        cum_len = cum_len[live] + t_surf[live]
+        power = power[live]
 
-    if len(gi) > 0:
-        # bounce budget plus slack exhausted without resolution
-        terminated += float(np.sum(power))
-        if record:
-            status[gi] = _TERMINATED
-
-    records = None
-    if record:
-        out_records: list[RayFate] = []
-        for k in range(n):
-            path = tuple(paths[k])
-            st = int(status[k])
-            if st == _CAPTURED:
-                out_records.append(Captured(float(delivered[k]), path))
-            elif st == _ESCAPED:
-                out_records.append(Escaped(path))
-            else:
-                out_records.append(Terminated(path))
-        records = tuple(out_records)
-    return captured, escaped, terminated, records
+    return captured, escaped, terminated
 
 
 def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
               cfg: TracerConfig) -> RayFate:
-    """Fate of a single ray, with its full polyline."""
-    one = TracerConfig(n_rays=2, max_bounces=cfg.max_bounces,
-                       spreading=cfg.spreading, record_paths=True,
-                       rx_cone_gate=cfg.rx_cone_gate)
-    _, _, _, records = _trace_batch(
-        scene, panel,
-        np.array([ray.origin.x]), np.array([ray.origin.y]),
-        np.array([ray.direction.x]), np.array([ray.direction.y]),
-        np.array([ray.power]), np.array([ray.bounce_count]), one)
-    assert records is not None
-    return records[0]
+    """Fate of a single ray, with its full polyline.
+
+    The scalar reference for `_trace_batch`: the same surface distances,
+    capture test, reflection and spreading, one ray at a time in plain
+    floats, so a ray's fate and delivered power match the kernel exactly.
+    """
+    x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
+    normals = panel.normals_array()
+    rx = scene.rx_aperture.center
+    r2 = scene.rx_aperture.radius ** 2
+    cos_min = math.cos(scene.rx.beam_halfwidth)
+    bs = scene.rx.boresight
+    ox, oy = ray.origin.x, ray.origin.y
+    dx, dy = ray.direction.x, ray.direction.y
+    path = [Vec2(ox, oy)]
+    length = 0.0
+    bounce = ray.bounce_count
+    while True:
+        ts = [(panel.y_height - oy) / dy if dy > 0.0 else math.inf,
+              (scene.floor_y - oy) / dy if dy < 0.0 else math.inf,
+              (x_max - ox) / dx if dx > 0.0 else math.inf,
+              (x_min - ox) / dx if dx < 0.0 else math.inf]
+        ts = [t if t > FORWARD_EPS else math.inf for t in ts]
+        t_surf = min(ts)
+        surf = ts.index(t_surf)
+
+        mx, my = rx.x - ox, rx.y - oy
+        s = mx * dx + my * dy
+        h2 = max(mx * mx + my * my - s * s, 0.0)
+        if (s > FORWARD_EPS and h2 <= r2 and s < t_surf
+                and (not cfg.rx_cone_gate
+                     or (-dx) * bs.x + (-dy) * bs.y >= cos_min)):
+            s_entry = s - math.sqrt(max(r2 - h2, 0.0))
+            path.append(Vec2(ox + s_entry * dx, oy + s_entry * dy))
+            power = ray.power
+            if cfg.spreading is Spreading.INVERSE_SQUARE:
+                total = length + s_entry
+                power = power * (1.0 / (total * total))
+            return Captured(power, tuple(path))
+        if t_surf == math.inf:
+            return Terminated(tuple(path))
+
+        hx, hy = ox + t_surf * dx, oy + t_surf * dy
+        path.append(Vec2(hx, hy))
+        if surf >= 2:
+            return Escaped(tuple(path))
+        if bounce >= cfg.max_bounces:
+            return Terminated(tuple(path))
+        if surf == 1:
+            dy = -dy
+            oy = scene.floor_y
+        else:
+            nx, ny = normals[panel.index_at(hx)].tolist()
+            k = 2.0 * (dx * nx + dy * ny)
+            rx_dir, ry_dir = dx - k * nx, dy - k * ny
+            norm = float(np.hypot(rx_dir, ry_dir))
+            dx, dy = rx_dir / norm, ry_dir / norm
+            if dy >= 0.0:
+                # reflected back out through the panel: absorbed
+                return Terminated(tuple(path))
+            oy = panel.y_height
+        ox = hx
+        length += t_surf
+        bounce += 1
 
 
 def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
@@ -302,17 +295,8 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     ox = np.full(n, scene.tx.position.x + dislocation)
     oy = np.full(n, scene.tx.position.y)
     power = np.full(n, total_power * scene.tx.gain / n)
-    bounce = np.zeros(n, dtype=int)
-    captured, escaped, terminated, records = _trace_batch(
-        scene, panel, ox, oy, dirs[:, 0], dirs[:, 1], power, bounce, cfg)
-    return TraceOutcome(captured, escaped, terminated, records)
-
-
-def efficiency(outcome: TraceOutcome, emitted_power: float) -> float:
-    """Captured share of the emitted power."""
-    if emitted_power <= 0.0:
-        raise ValueError(f"emitted_power must be > 0, got {emitted_power!r}")
-    return outcome.captured_power / emitted_power
+    return TraceOutcome(*_trace_batch(scene, panel, ox, oy, dirs[:, 0],
+                                      dirs[:, 1], power, cfg))
 
 
 def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,

@@ -17,8 +17,8 @@ from pwesim.experiment import ExperimentConfig, csv_text, run_sweep
 from pwesim.geometry import Circle, Vec2, angle_between, reflect
 from pwesim.latency import (LatencyBudget, MobilityModel, dislocation,
                             total_latency)
-from pwesim.scene import (Antenna, HsfPanel, Scene, build_default_scene,
-                          mirror_panel, subunit_center)
+from pwesim.scene import (Antenna, HsfPanel, Scene, mirror_panel,
+                          subunit_center)
 from pwesim.steering import (Biased, Static, Unbiased, build_schedule,
                              materialize_normals, optimal_normal, _delta_i)
 from pwesim.tracer import (TracerConfig, analytic_received_power,
@@ -75,7 +75,7 @@ def test_criterion_2_biased_shares():
 
 
 def test_criterion_3_normal_grid():
-    scene = build_default_scene()
+    scene = ExperimentConfig().scene()
     panel = scene.ceiling
     target = scene.rx_aperture.center
     worst = 0.0
@@ -132,7 +132,7 @@ def test_criterion_4_energy_conservation():
 
 
 def test_criterion_5_oracle_equivalence():
-    scene = build_default_scene()
+    scene = ExperimentConfig().scene()
     sch = build_schedule(Static(), scene.ceiling.subunit_count - 1, 250,
                          0.002)
     panel = materialize_normals(sch, scene)

@@ -3,9 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pwesim.geometry import (FORWARD_EPS, Circle, Ray, Vec2, angle_between,
-                             ray_circle_intersection,
-                             ray_segment_intersection, reflect)
+from pwesim.geometry import Circle, Ray, Vec2, angle_between, reflect
 
 
 def unit(x, y):
@@ -87,71 +85,7 @@ class TestReflect:
         assert abs(d.dot(n) + r.dot(n)) < 1e-12
 
 
-class TestRaySegment:
-    def test_oblique_hit_on_extended_floor(self):
-        # shallow downward ray: from (0, 3) toward the receiver direction it
-        # only meets y = 0 far outside the 5 m corridor, at x = 18
-        direction = (Vec2(3.6, 2.4) - Vec2(0.0, 3.0)).normalized()
-        ray = Ray(Vec2(0.0, 3.0), direction)
-        hit = ray_segment_intersection(ray, Vec2(-1.0, 0.0), Vec2(40.0, 0.0))
-        assert hit is not None
-        point, t = hit
-        assert point.x == pytest.approx(18.0, abs=1e-9)
-        assert point.y == pytest.approx(0.0, abs=1e-9)
-        assert t == pytest.approx(18.24828759089466, abs=1e-6)
-
-    def test_same_ray_misses_corridor_floor(self):
-        direction = (Vec2(3.6, 2.4) - Vec2(0.0, 3.0)).normalized()
-        ray = Ray(Vec2(0.0, 3.0), direction)
-        assert ray_segment_intersection(ray, Vec2(-1.0, 0.0),
-                                        Vec2(4.0, 0.0)) is None
-
-    def test_parallel_returns_none(self):
-        ray = Ray(Vec2(0.0, 1.0), Vec2(1.0, 0.0))
-        assert ray_segment_intersection(ray, Vec2(0.0, 0.0),
-                                        Vec2(5.0, 0.0)) is None
-
-    def test_behind_origin_returns_none(self):
-        ray = Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0))
-        assert ray_segment_intersection(ray, Vec2(-1.0, 0.0),
-                                        Vec2(1.0, 0.0)) is None
-
-    def test_origin_on_segment_not_a_hit(self):
-        # departure point itself is excluded by the forward threshold
-        ray = Ray(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
-        assert ray_segment_intersection(ray, Vec2(-1.0, 0.0),
-                                        Vec2(1.0, 0.0)) is None
-
-    def test_degenerate_segment_raises(self):
-        ray = Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0))
-        with pytest.raises(ValueError):
-            ray_segment_intersection(ray, Vec2(2.0, 2.0), Vec2(2.0, 2.0))
-
-    def test_vertical_segment(self):
-        ray = Ray(Vec2(0.0, 0.5), Vec2(1.0, 0.0))
-        hit = ray_segment_intersection(ray, Vec2(2.0, 0.0), Vec2(2.0, 1.0))
-        assert hit is not None
-        point, t = hit
-        assert point == Vec2(2.0, 0.5)
-        assert t == pytest.approx(2.0)
-
-
 class TestRayCircle:
-    def test_central_hit(self):
-        ray = Ray(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
-        assert ray_circle_intersection(ray, Circle(Vec2(5.0, 0.0), 0.1))
-
-    def test_grazing_within_radius(self):
-        ray = Ray(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
-        assert ray_circle_intersection(ray, Circle(Vec2(5.0, 0.05), 0.1))
-        assert not ray_circle_intersection(ray, Circle(Vec2(5.0, 0.2), 0.1))
-
-    def test_behind_origin_counts_origin_distance(self):
-        ray = Ray(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
-        assert not ray_circle_intersection(ray, Circle(Vec2(-5.0, 0.0), 0.1))
-        # origin already inside the disc counts as a hit even looking away
-        assert ray_circle_intersection(ray, Circle(Vec2(-0.05, 0.0), 0.1))
-
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             Circle(Vec2(0.0, 0.0), 0.0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pwesim.experiment import ExperimentConfig
 from pwesim.geometry import Circle, Vec2
-from pwesim.scene import (Antenna, HsfPanel, Scene, build_default_scene,
+from pwesim.scene import (Antenna, HsfPanel, Scene, _ceil_count,
                           fan_directions, mirror_panel, rx_accepts,
                           subunit_center, tx_ray_fan)
 
@@ -13,7 +14,7 @@ DEG = math.pi / 180.0
 
 @pytest.fixture(scope="module")
 def scene():
-    return build_default_scene()
+    return ExperimentConfig().scene()
 
 
 class TestDefaultScene:
@@ -81,6 +82,15 @@ class TestHsfPanel:
     def test_count_follows_span(self):
         panel = mirror_panel(3.0, 0.0, 1.0, 0.3)  # 1 / 0.3 -> 4 subunits
         assert panel.subunit_count == 4
+
+    @pytest.mark.parametrize("step", (0.001, 0.002, 0.0025, 0.01, 0.3,
+                                      1.0 / 3.0))
+    @pytest.mark.parametrize("k", (1, 7, 5000, 250001, 10**9, 3 * 10**9))
+    def test_count_of_whole_cells(self, k, step):
+        # k cells whose float width drifts by an ulp still count as k, and
+        # half a cell more rounds up, at any span
+        assert _ceil_count(k * step, step) == k
+        assert _ceil_count((k + 0.5) * step, step) == k + 1
 
     def test_normal_count_must_match(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwesim.geometry import Vec2, angle_between, reflect
-from pwesim.scene import build_default_scene, subunit_center
+from pwesim.experiment import ExperimentConfig
+from pwesim.scene import subunit_center
 from pwesim.steering import (Biased, Schedule, Static, Unbiased,
                              build_schedule, materialize_normals,
-                             optimal_normal, schedule_stats, _delta_i)
+                             optimal_normal, _delta_i)
 
 
 class TestOptimalNormal:
@@ -76,7 +77,7 @@ class TestBuildSchedule:
         # p = 0.5 anchors every 2nd subunit at j_c; the rest cycle 1, 2
         sch = build_schedule(Biased(0.5, 0), 7, 2, 0.002)
         assert sch.assignment == (0, 1, 0, 2, 0, 1, 0, 2)
-        assert schedule_stats(sch) == {0: 4, 1: 2, 2: 2}
+        assert Counter(sch.assignment) == {0: 4, 1: 2, 2: 2}
 
     def test_biased_nonzero_center(self):
         sch = build_schedule(Biased(0.5, 1), 7, 2, 0.002)
@@ -167,7 +168,7 @@ class TestScheduleType:
 
 class TestMaterializeNormals:
     def test_panel_shape_and_orientation(self):
-        scene = build_default_scene()
+        scene = ExperimentConfig().scene()
         sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
                              250, 0.002)
         panel = materialize_normals(sch, scene)
@@ -177,7 +178,7 @@ class TestMaterializeNormals:
         assert np.max(np.abs(np.hypot(arr[:, 0], arr[:, 1]) - 1.0)) < 1e-12
 
     def test_static_normals_redirect_onto_target(self):
-        scene = build_default_scene()
+        scene = ExperimentConfig().scene()
         sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
                              250, 0.002)
         panel = materialize_normals(sch, scene)
@@ -191,7 +192,7 @@ class TestMaterializeNormals:
             assert angle_between(r, desired) < 1e-9
 
     def test_length_mismatch_raises(self):
-        scene = build_default_scene()
+        scene = ExperimentConfig().scene()
         sch = build_schedule(Static(), 9, 5, 0.002)  # 10 entries, panel 5000
         with pytest.raises(ValueError):
             materialize_normals(sch, scene)
@@ -199,6 +200,6 @@ class TestMaterializeNormals:
 
 def test_schedule_stats_counts_sum():
     sch = build_schedule(Unbiased(), 999, 12, 0.002)
-    stats = schedule_stats(sch)
+    stats = Counter(sch.assignment)
     assert sum(stats.values()) == 1000
     assert set(stats) == set(range(13))
