@@ -15,8 +15,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .experiment import (ConfigError, ExperimentConfig, _fmt, _scheme_curves,
                          _scheme_schedules, dbm_to_watts, emit_csv,
                          load_config, run_sweep)
@@ -27,9 +25,9 @@ from .tracer import Captured, trace_ray
 
 
 def _fmt_trim(x: float) -> str:
-    """9 significant digits with trailing zeros removed, for prose output."""
-    return np.format_float_positional(x, precision=9, unique=False,
-                                      fractional=False, trim="-")
+    """`_fmt` with trailing zeros removed, for prose output."""
+    text = _fmt(x)
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:

@@ -17,8 +17,7 @@ import concurrent.futures
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from decimal import Decimal
 
 from .geometry import Circle, Vec2
 from .latency import LatencyBudget, MobilityModel
@@ -238,6 +237,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         err("sweep.stop", "must be >= sweep.start")
     if cfg.sweep_start < 0:
         err("sweep.start", "must be >= 0")
+    # nearest swept transmitter position to the aperture center
+    near_x = min(max(cfg.rx_x, cfg.sweep_start), cfg.sweep_stop)
+    if math.hypot(cfg.rx_x - near_x, cfg.rx_y_rel) <= cfg.aperture:
+        err("scene.aperture", "the receive aperture must not contain the"
+            " transmitter at any sweep dislocation")
     if not cfg.output_csv:
         err("output.csv", "must not be empty")
 
@@ -386,9 +390,13 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 
 def _fmt(x: float) -> str:
-    """9 significant digits, plain decimal, fixed trailing zeros."""
-    return np.format_float_positional(x, precision=9, unique=False,
-                                      fractional=False, trim="k")
+    """9 significant digits, plain decimal, fixed trailing zeros.
+
+    Python's own `e` formatting does the rounding, so the text does not
+    depend on the numpy build: 0.03 -> 0.0300000000, 0.1 and
+    0.09999999999999999 -> 0.100000000.
+    """
+    return format(Decimal(f"{x:.8e}"), "f")
 
 
 CSV_HEADER = "scheme,bias_p,d_x_m,efficiency,captured_w,escaped_w,terminated_w"

@@ -33,9 +33,6 @@ class Vec2:
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(s * self.x, s * self.y)
-
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
@@ -55,9 +52,6 @@ class Vec2:
 
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return abs(self.norm - 1.0) <= tol
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 def _require_unit(v: Vec2, name: str) -> None:
@@ -80,10 +74,6 @@ class Ray:
             raise ValueError(f"power must be >= 0, got {self.power!r}")
         if self.bounce_count < 0:
             raise ValueError(f"bounce_count must be >= 0, got {self.bounce_count!r}")
-
-    def point_at(self, t: float) -> Vec2:
-        return Vec2(self.origin.x + t * self.direction.x,
-                    self.origin.y + t * self.direction.y)
 
 
 @dataclass(frozen=True)

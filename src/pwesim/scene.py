@@ -95,17 +95,9 @@ class HsfPanel:
     def subunit_count(self) -> int:
         return len(self._xy)
 
-    @property
-    def normals(self) -> tuple[Vec2, ...]:
-        return tuple(Vec2(float(x), float(y)) for x, y in self._xy)
-
     def normals_array(self) -> np.ndarray:
         """Read-only (N, 2) float view of the normals, for the batch tracer."""
         return self._xy
-
-    def normal_at(self, i: int) -> Vec2:
-        x, y = self._xy[i]
-        return Vec2(float(x), float(y))
 
     def index_at(self, x: float) -> int:
         """Subunit index owning ceiling coordinate x, clipped to the panel."""
@@ -167,6 +159,10 @@ class Scene:
         if not (self.corridor_x_min < c.x < self.corridor_x_max
                 and self.floor_y < c.y < self.ceiling_height):
             raise ValueError("rx_aperture center must lie strictly inside the corridor")
+        if (self.tx.position - c).norm <= self.rx_aperture.radius:
+            # a ray starting inside the disc would be captured with a
+            # negative entry distance
+            raise ValueError("rx_aperture must not contain the transmitter")
         if self.tx.position.y != self.user_height:
             raise ValueError("tx antenna must sit at user_height")
         if self.ceiling.y_height != self.ceiling_height:

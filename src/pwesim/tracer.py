@@ -6,8 +6,8 @@ aperture, escape through an open corridor end, or exhaust the bounce
 budget. Capture is tested on every straight segment before the next
 surface hit, so a ray cannot fly through the aperture unnoticed.
 
-`received_power` runs the whole fan through one vectorized kernel that only
-sums power. `trace_ray` follows a single ray with the same arithmetic in
+`received_power` runs the whole fan through one vectorized kernel that
+counts rays per fate. `trace_ray` follows a single ray with the same arithmetic in
 plain floats and records its polyline; it is the kernel's per-ray reference.
 
 The same single-bounce transport integral is also available as a midpoint
@@ -18,6 +18,7 @@ independent discretizations of one integral and serve as mutual oracles.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,13 +96,16 @@ class TraceOutcome:
         return self.captured_power + self.escaped_power + self.terminated_power
 
 
-def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
-                 cfg: TracerConfig) -> tuple[float, float, float]:
-    """Trace unbounced rays; returns (captured, escaped, terminated) sums.
+def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
+                 cfg: TracerConfig) -> tuple[float, int, int]:
+    """Trace unbounced rays; returns (captured, escaped, terminated) counts.
 
-    All per-step work is vectorized over the still-alive subset. Power sums
-    accumulate per step in fixed array order, so the result is deterministic
-    for a given input bundle regardless of process or worker count.
+    The origin may be one point shared by every ray. Under inverse-square
+    spreading `captured` is the exact sum (`math.fsum`) of the captured
+    rays' gains 1 / L^2 instead of their count. Either way the result does
+    not depend on summation order, so it is the same for any process or
+    worker count. All per-step work is vectorized over the still-alive
+    subset.
     """
     ceil_y = panel.y_height
     floor_y = scene.floor_y
@@ -115,32 +119,27 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
         cos_min = math.cos(scene.rx.beam_halfwidth)
         bs_x, bs_y = scene.rx.boresight.x, scene.rx.boresight.y
 
-    ox = np.asarray(ox, float)
-    oy = np.asarray(oy, float)
-    dx = np.asarray(dx, float)
-    dy = np.asarray(dy, float)
-    power = np.asarray(power, float)
-    cum_len = np.zeros(len(ox))
+    ox, oy, dx, dy = np.broadcast_arrays(
+        *(np.asarray(a, float) for a in (ox, oy, dx, dy)))
+    if inv_sq:
+        cum_len = np.zeros(len(dx))
+    gains: list[float] = []  # inverse-square only
 
-    captured = escaped = terminated = 0.0
+    captured = escaped = terminated = 0
     inf = np.inf
     # every live ray has made exactly `step` surface bounces so far
     for step in range(cfg.max_bounces + 1):
-        if len(ox) == 0:
+        n = len(dx)
+        if n == 0:
             break
-        # nearest surface along each ray; invalid directions give inf
+        # two candidate surfaces: the ceiling or floor ahead and the wall
+        # ahead; a ray parallel to one, or on it, gets inf for it
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_ceil = np.where(dy > 0.0, (ceil_y - oy) / dy, inf)
-            t_floor = np.where(dy < 0.0, (floor_y - oy) / dy, inf)
-            t_right = np.where(dx > 0.0, (x_max - ox) / dx, inf)
-            t_left = np.where(dx < 0.0, (x_min - ox) / dx, inf)
-        t_ceil = np.where(t_ceil > FORWARD_EPS, t_ceil, inf)
-        t_floor = np.where(t_floor > FORWARD_EPS, t_floor, inf)
-        t_right = np.where(t_right > FORWARD_EPS, t_right, inf)
-        t_left = np.where(t_left > FORWARD_EPS, t_left, inf)
-        t_all = np.stack((t_ceil, t_floor, t_right, t_left))
-        surf = np.argmin(t_all, axis=0)
-        t_surf = t_all[surf, np.arange(len(ox))]
+            t_v = (np.where(dy > 0.0, ceil_y, floor_y) - oy) / dy
+            t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
+        t_v = np.where(t_v > FORWARD_EPS, t_v, inf)
+        t_w = np.where(t_w > FORWARD_EPS, t_w, inf)
+        t_surf = np.minimum(t_v, t_w)
 
         # aperture capture on this segment, before the surface
         mx = rx.x - ox
@@ -150,67 +149,66 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy, power,
         cap = (s > FORWARD_EPS) & (h2 <= r2) & (s < t_surf)
         if cfg.rx_cone_gate:
             cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
-        if np.any(cap):
-            if inv_sq:
-                s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
-                gain = 1.0 / (cum_len[cap] + s_entry) ** 2
-                captured += float(np.sum(power[cap] * gain))
-            else:
-                captured += float(np.sum(power[cap]))
+        n_cap = int(np.count_nonzero(cap))
+        if inv_sq:
+            s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
+            gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
+        else:
+            captured += n_cap
 
-        live = ~cap
-        no_surface = live & ~np.isfinite(t_surf)
-        if np.any(no_surface):
-            # nowhere to go (should not happen for unit directions);
-            # absorb to preserve the power ledger
-            terminated += float(np.sum(power[no_surface]))
-            live &= ~no_surface
-
-        out = live & (surf >= 2)  # open corridor ends
-        if np.any(out):
-            escaped += float(np.sum(power[out]))
-            live &= ~out
-
+        # the rest escape through an open end if the wall is strictly
+        # nearer, hit the ceiling or floor if that is finite, and are
+        # otherwise stuck (not for unit directions), absorbed to keep the
+        # ledger
+        free = ~cap
+        wall = t_w < t_v
+        n_out = int(np.count_nonzero(free & wall))
+        live = free & ~wall & (t_v < inf)
+        n_live = int(np.count_nonzero(live))
+        escaped += n_out
+        terminated += n - n_cap - n_out - n_live
         if step == cfg.max_bounces:
             # bounce budget spent: absorb every ray still in flight
-            terminated += float(np.sum(power[live]))
+            terminated += n_live
             break
 
-        hx = ox + t_surf * dx
-        new_dx = dx.copy()
-        new_dy = dy.copy()
-        on_floor = live & (surf == 1)
-        new_dy[on_floor] = -dy[on_floor]
+        # compact to the survivors, then advance them to the surface
+        keep = np.flatnonzero(live)
+        t = t_surf[keep]
+        dx = dx[keep]
+        dy = dy[keep]
+        ox = ox[keep] + t * dx
+        if inv_sq:
+            cum_len = cum_len[keep] + t
+        ceil = np.flatnonzero(dy > 0.0)
+        idx = ((ox[ceil] - panel.x_start) / panel.subunit_length).astype(int)
+        np.clip(idx, 0, n_sub - 1, out=idx)
+        nx = normals[idx, 0]
+        ny = normals[idx, 1]
+        cdx = dx[ceil]
+        cdy = dy[ceil]
+        k = 2.0 * (cdx * nx + cdy * ny)
+        rx_dir = cdx - k * nx
+        ry_dir = cdy - k * ny
+        norm = np.hypot(rx_dir, ry_dir)
+        rx_dir /= norm
+        ry_dir /= norm
+        dy = -dy  # the floor is a plain mirror
+        dx[ceil] = rx_dir
+        dy[ceil] = ry_dir
+        # a virtual normal may send the ray back out through the panel;
+        # the surface cannot transmit, so treat that as absorbed
+        bad = ceil[ry_dir >= 0.0]
+        if len(bad):
+            terminated += len(bad)
+            ox, dx, dy = (np.delete(a, bad) for a in (ox, dx, dy))
+            if inv_sq:
+                cum_len = np.delete(cum_len, bad)
+        # a ray heading down left the ceiling, one heading up the floor
+        oy = np.where(dy < 0.0, ceil_y, floor_y)
 
-        on_ceil = live & (surf == 0)
-        if np.any(on_ceil):
-            idx = ((hx[on_ceil] - panel.x_start)
-                   / panel.subunit_length).astype(int)
-            idx = np.clip(idx, 0, n_sub - 1)
-            nx = normals[idx, 0]
-            ny = normals[idx, 1]
-            k = 2.0 * (dx[on_ceil] * nx + dy[on_ceil] * ny)
-            rx_dir = dx[on_ceil] - k * nx
-            ry_dir = dy[on_ceil] - k * ny
-            norm = np.hypot(rx_dir, ry_dir)
-            new_dx[on_ceil] = rx_dir / norm
-            new_dy[on_ceil] = ry_dir / norm
-            # a virtual normal may send the ray back out through the panel;
-            # the surface cannot transmit, so treat that as absorbed
-            bad = np.zeros(len(ox), dtype=bool)
-            bad[on_ceil] = new_dy[on_ceil] >= 0.0
-            if np.any(bad):
-                terminated += float(np.sum(power[bad]))
-                live &= ~bad
-
-        # compact to the surviving subset and advance
-        ox = hx[live]
-        oy = np.where(surf[live] == 0, ceil_y, floor_y)
-        dx = new_dx[live]
-        dy = new_dy[live]
-        cum_len = cum_len[live] + t_surf[live]
-        power = power[live]
-
+    if inv_sq:
+        captured = math.fsum(gains)
     return captured, escaped, terminated
 
 
@@ -282,21 +280,32 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
         bounce += 1
 
 
+@functools.lru_cache(maxsize=8)
+def _fan(boresight: Vec2, beam_halfwidth: float,
+         n_rays: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous, read-only x and y components of `fan_directions`."""
+    dirs = fan_directions(boresight, beam_halfwidth, n_rays)
+    parts = tuple(np.ascontiguousarray(dirs[:, i]) for i in (0, 1))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
 def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
                    cfg: TracerConfig, total_power: float = 1.0) -> TraceOutcome:
     """Trace the full transmit fan at the given dislocation.
 
-    Power is allocated to rays by a single multiply and divide, so the
-    emitted total is total_power * tx.gain with no accumulation drift.
+    Every ray carries total_power * tx.gain / n_rays; the kernel counts
+    rays per fate, so each total is that share times one count (or, under
+    inverse-square spreading, one exact sum of gains).
     """
-    dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth,
-                          cfg.n_rays)
-    n = cfg.n_rays
-    ox = np.full(n, scene.tx.position.x + dislocation)
-    oy = np.full(n, scene.tx.position.y)
-    power = np.full(n, total_power * scene.tx.gain / n)
-    return TraceOutcome(*_trace_batch(scene, panel, ox, oy, dirs[:, 0],
-                                      dirs[:, 1], power, cfg))
+    dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, cfg.n_rays)
+    per_ray = total_power * scene.tx.gain / cfg.n_rays
+    captured, escaped, terminated = _trace_batch(
+        scene, panel, scene.tx.position.x + dislocation, scene.tx.position.y,
+        dx, dy, cfg)
+    return TraceOutcome(per_ray * captured, per_ray * escaped,
+                        per_ray * terminated)
 
 
 def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,

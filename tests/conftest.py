@@ -14,11 +14,14 @@ def report(line: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Replay the scorecard after the run, outside per-test capture."""
+    """Replay the scorecard after the run, outside per-test capture, and
+    write it to test_output.txt at the repository root."""
     if _VERDICTS:
         terminalreporter.section("acceptance criteria")
         for line in _VERDICTS:
             terminalreporter.write_line(line)
+        path = config.rootpath / "test_output.txt"
+        path.write_text("\n".join(_VERDICTS) + "\n", encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from pwesim.cli import main
+from pwesim.cli import _fmt_trim, main
 from pwesim.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
-                               csv_text, dbm_to_watts, emit_config, emit_csv,
-                               load_config, parse_config, run_sweep)
+                               _fmt, csv_text, dbm_to_watts, emit_config,
+                               emit_csv, load_config, parse_config, run_sweep)
 
 TINY = """
 # quick two-scheme setup for tests
@@ -76,6 +76,18 @@ class TestConfigParsing:
     def test_user_height_inside_corridor(self):
         with pytest.raises(ConfigError, match="scene.h"):
             parse_config("scene.h = 3.5")
+
+    def test_aperture_must_not_contain_transmitter(self):
+        # the disc at (0.05, 1.02), radius 0.1, holds the transmitter at
+        # (0, 1); so does one that only a swept position reaches
+        with pytest.raises(ConfigError, match="scene.aperture"):
+            parse_config("scene.rx_x = 0.05\nscene.rx_y_rel = 0.02\n"
+                         "scene.aperture = 0.1\n")
+        with pytest.raises(ConfigError, match="scene.aperture"):
+            parse_config("scene.rx_x = 0.45\nscene.rx_y_rel = 0.05\n"
+                         "scene.aperture = 0.08\n")
+        assert parse_config("scene.rx_x = 0.6\nscene.rx_y_rel = 0.05\n"
+                            "scene.aperture = 0.08\n").rx_x == 0.6
 
     def test_sweep_points_default_grid(self):
         points = ExperimentConfig().sweep_points()
@@ -175,6 +187,21 @@ class TestCsv:
         out = tmp_path / "rows.csv"
         emit_csv(result, str(out))
         assert out.read_bytes().decode("utf-8") == csv_text(result)
+
+    def test_float_format_golden(self):
+        # 9 significant digits, rounded by Python: numpy's formatter gave
+        # 0.03 eight digits, 0.01 ten, and 0.1 nine or eight depending on
+        # the last ulp
+        golden = {0.0: ("0.00000000", "0"),
+                  0.01: ("0.0100000000", "0.01"),
+                  0.03: ("0.0300000000", "0.03"),
+                  0.1: ("0.100000000", "0.1"),
+                  0.09999999999999999: ("0.100000000", "0.1"),
+                  0.5: ("0.500000000", "0.5"),
+                  1e-7: ("0.000000100000000", "0.0000001"),
+                  0.999999999999: ("1.00000000", "1")}
+        got = {x: (_fmt(x), _fmt_trim(x)) for x in golden}
+        assert got == golden
 
     def test_repeat_runs_identical(self):
         cfg = parse_config(TINY)

@@ -20,7 +20,6 @@ class TestVec2:
         assert a + b == Vec2(-2.0, 2.5)
         assert a - b == Vec2(4.0, 1.5)
         assert -a == Vec2(-1.0, -2.0)
-        assert a.scaled(2.0) == Vec2(2.0, 4.0)
         assert a.dot(b) == -2.0
         assert a.cross(b) == 1.0 * 0.5 - 2.0 * (-3.0)
 
@@ -37,10 +36,6 @@ class TestVec2:
 
 
 class TestRay:
-    def test_point_at(self):
-        ray = Ray(Vec2(1.0, 2.0), Vec2(0.0, 1.0))
-        assert ray.point_at(3.0) == Vec2(1.0, 5.0)
-
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError):
             Ray(Vec2(0.0, 0.0), Vec2(1.0, 1.0))

@@ -44,8 +44,8 @@ class TestDefaultScene:
         panel = scene.ceiling
         assert panel.subunit_count == 5000
         assert panel.y_height == 3.0
-        assert panel.normal_at(0) == Vec2(0.0, -1.0)
-        assert panel.normal_at(4999) == Vec2(0.0, -1.0)
+        assert panel.normals_array()[0].tolist() == [0.0, -1.0]
+        assert panel.normals_array()[4999].tolist() == [0.0, -1.0]
 
 
 class TestHsfPanel:
@@ -123,6 +123,15 @@ class TestSceneValidation:
             Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,
                   corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
                   rx_aperture=Circle(Vec2(9.0, 2.4), 0.05),
+                  user_height=1.0, ceiling_height=3.0)
+
+    def test_aperture_must_not_contain_transmitter(self, scene):
+        # a disc around the transmitter captured rays at a negative entry
+        # distance: 22.7 W from a 0.1 W fan under inverse-square spreading
+        with pytest.raises(ValueError, match="transmitter"):
+            Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,
+                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
+                  rx_aperture=Circle(Vec2(0.05, 1.02), 0.1),
                   user_height=1.0, ceiling_height=3.0)
 
 

@@ -188,7 +188,7 @@ class TestMaterializeNormals:
             center = subunit_center(panel, i)
             incident = (center - user).normalized()
             desired = (target - center).normalized()
-            r = reflect(incident, panel.normal_at(i))
+            r = reflect(incident, Vec2(*panel.normals_array()[i]))
             assert angle_between(r, desired) < 1e-9
 
     def test_length_mismatch_raises(self):
