@@ -64,6 +64,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     scene = cfg.scene()
     panel = _select_curve(cfg, scene, args.scheme, args.bias_p)
+    try:
+        scene.tx_origin(args.dx)
+    except ValueError as exc:
+        print(f"error: --dx: {exc}", file=sys.stderr)
+        return 2
     tracer_cfg = cfg.tracer_config()
     rays = tx_ray_fan(scene, args.dx, args.rays,
                       dbm_to_watts(cfg.tx_power_dbm))

@@ -160,25 +160,27 @@ _MODES = ("static", "unbiased", "biased", "baseline")
 def _parse_value(key: str, kind: str, text: str):
     try:
         if kind == "float":
-            return float(text)
-        if kind == "int":
+            floats = (float(text),)
+        elif kind == "float_list":
+            floats = tuple(float(part) for part in text.split(",")
+                           if part.strip())
+        elif kind == "int":
             return int(text)
-        if kind == "bool":
+        elif kind == "bool":
             low = text.lower()
             if low in ("true", "false"):
                 return low == "true"
             raise ValueError(text)
-        if kind == "str":
+        elif kind == "str":
             return text
-        if kind == "str_list":
+        elif kind == "str_list":
             return tuple(part.strip() for part in text.split(",")
-                         if part.strip())
-        if kind == "float_list":
-            return tuple(float(part) for part in text.split(",")
                          if part.strip())
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
-    raise AssertionError(f"unhandled kind {kind}")
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{key}: {text!r} is not a finite number")
+    return floats[0] if kind == "float" else floats
 
 
 def _validate(cfg: ExperimentConfig) -> None:

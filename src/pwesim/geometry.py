@@ -30,9 +30,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
@@ -66,14 +63,11 @@ class Ray:
     origin: Vec2
     direction: Vec2  # unit-norm
     power: float = 1.0  # watts
-    bounce_count: int = 0
 
     def __post_init__(self) -> None:
         _require_unit(self.direction, "direction")
         if self.power < 0.0:
             raise ValueError(f"power must be >= 0, got {self.power!r}")
-        if self.bounce_count < 0:
-            raise ValueError(f"bounce_count must be >= 0, got {self.bounce_count!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, Ray, Vec2, _require_unit, angle_between
+from .geometry import Circle, Ray, Vec2, _require_unit
 
 
 def _ceil_count(span: float, step: float) -> int:
@@ -68,26 +68,24 @@ class HsfPanel:
             raise ValueError(f"subunit_length must be > 0, got {subunit_length!r}")
         if x_end <= x_start:
             raise ValueError("x_end must exceed x_start")
-        xy = np.asarray(
-            [[n.x, n.y] for n in normals] if not isinstance(normals, np.ndarray)
-            else normals, dtype=float)
+        xy = np.array(normals, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError("normals must be a sequence of 2D vectors")
+            raise ValueError("normals must be an (N, 2) array")
         expected = _ceil_count(x_end - x_start, subunit_length)
         if len(xy) != expected:
             raise ValueError(
                 f"panel spans {x_end - x_start!r} m at {subunit_length!r} m per "
                 f"subunit and needs {expected} normals, got {len(xy)}")
+        # written so that a NaN fails both checks
         norms = np.hypot(xy[:, 0], xy[:, 1])
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("every panel normal must be unit-norm")
-        if np.any(xy[:, 1] >= 0.0):
+        if not np.all(xy[:, 1] < 0.0):
             raise ValueError("every panel normal must point downward (y < 0)")
         self.y_height = float(y_height)
         self.x_start = float(x_start)
         self.x_end = float(x_end)
         self.subunit_length = float(subunit_length)
-        xy = xy.copy()
         xy.flags.writeable = False
         self._xy = xy
 
@@ -99,10 +97,17 @@ class HsfPanel:
         """Read-only (N, 2) float view of the normals, for the batch tracer."""
         return self._xy
 
-    def index_at(self, x: float) -> int:
-        """Subunit index owning ceiling coordinate x, clipped to the panel."""
-        i = int((x - self.x_start) / self.subunit_length)
-        return min(max(i, 0), self.subunit_count - 1)
+    def centers(self) -> np.ndarray:
+        """x of every subunit midpoint, in index order."""
+        return (self.x_start
+                + (np.arange(self.subunit_count) + 0.5) * self.subunit_length)
+
+    def index_at(self, x):
+        """Subunit index owning ceiling coordinate x (a float or an array),
+        truncated to whole subunits and clipped to the panel."""
+        i = np.clip(((np.asarray(x, dtype=float) - self.x_start)
+                     / self.subunit_length).astype(int), 0, self.subunit_count - 1)
+        return int(i) if i.ndim == 0 else i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HsfPanel):
@@ -116,14 +121,6 @@ class HsfPanel:
     def __repr__(self) -> str:
         return (f"HsfPanel(y={self.y_height}, x=[{self.x_start}, {self.x_end}], "
                 f"subunits={self.subunit_count} x {self.subunit_length} m)")
-
-
-def subunit_center(panel: HsfPanel, i: int) -> Vec2:
-    """Midpoint of subunit i on the panel surface."""
-    if not 0 <= i < panel.subunit_count:
-        raise IndexError(
-            f"subunit index {i} outside [0, {panel.subunit_count - 1}]")
-    return Vec2(panel.x_start + (i + 0.5) * panel.subunit_length, panel.y_height)
 
 
 def mirror_panel(y_height: float, x_start: float, x_end: float,
@@ -159,14 +156,24 @@ class Scene:
         if not (self.corridor_x_min < c.x < self.corridor_x_max
                 and self.floor_y < c.y < self.ceiling_height):
             raise ValueError("rx_aperture center must lie strictly inside the corridor")
-        if (self.tx.position - c).norm <= self.rx_aperture.radius:
-            # a ray starting inside the disc would be captured with a
-            # negative entry distance
-            raise ValueError("rx_aperture must not contain the transmitter")
+        self.tx_origin(0.0)
         if self.tx.position.y != self.user_height:
             raise ValueError("tx antenna must sit at user_height")
         if self.ceiling.y_height != self.ceiling_height:
             raise ValueError("ceiling panel height must match ceiling_height")
+
+    def tx_origin(self, dislocation: float) -> Vec2:
+        """Transmitter position after the user walks `dislocation` meters;
+        ValueError if it is not finite or lies inside the receive aperture,
+        where a ray would be captured at a negative entry distance."""
+        origin = Vec2(self.tx.position.x + dislocation, self.tx.position.y)
+        if not math.isfinite(origin.x):
+            raise ValueError(f"dislocation must be finite, got {dislocation!r}")
+        if (origin - self.rx_aperture.center).norm <= self.rx_aperture.radius:
+            raise ValueError(
+                f"dislocation {dislocation!r} puts the transmitter inside"
+                " the receive aperture")
+        return origin
 
 
 def fan_directions(boresight: Vec2, beam_halfwidth: float,
@@ -193,18 +200,9 @@ def tx_ray_fan(scene: Scene, dislocation: float, n_rays: int,
     """
     if total_power < 0.0:
         raise ValueError(f"total_power must be >= 0, got {total_power!r}")
+    origin = scene.tx_origin(dislocation)
     dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth, n_rays)
-    origin = Vec2(scene.tx.position.x + dislocation, scene.tx.position.y)
     per_ray = total_power * scene.tx.gain / n_rays
     return [Ray(origin, Vec2(float(dx), float(dy)), per_ray)
             for dx, dy in dirs]
 
-
-def rx_accepts(scene: Scene, arrival_direction: Vec2) -> bool:
-    """True iff a ray arriving along arrival_direction falls in the Rx cone.
-
-    The antenna sees the reversed direction of travel, so the test is
-    angle(-arrival, boresight) <= beam_halfwidth.
-    """
-    return angle_between(-arrival_direction, scene.rx.boresight) \
-        <= scene.rx.beam_halfwidth

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Vec2
-from .scene import HsfPanel, Scene, _ceil_count, subunit_center
+from .scene import HsfPanel, Scene, _ceil_count
 
 
 @dataclass(frozen=True)
@@ -162,19 +162,25 @@ def build_schedule(mode: SteeringMode, i_max: int, j_max: int,
 
 
 def materialize_normals(schedule: Schedule, scene: Scene) -> HsfPanel:
-    """Panel whose subunit i redirects position assignment[i] onto the Rx."""
+    """Panel whose subunit i redirects position assignment[i] onto the Rx.
+
+    `optimal_normal` on every subunit in one array pass; a valid Scene has
+    none of its degenerate cases (every subunit is above user and Rx)."""
     base = scene.ceiling
     if len(schedule.assignment) != base.subunit_count:
         raise ValueError(
             f"schedule covers {len(schedule.assignment)} subunits, panel has "
             f"{base.subunit_count}")
     target = scene.rx_aperture.center
-    h = scene.user_height
-    normals = np.empty((base.subunit_count, 2), dtype=float)
-    for i, j in enumerate(schedule.assignment):
-        center = subunit_center(base, i)
-        n = optimal_normal(center, Vec2(j * schedule.tx_step, h), target)
-        normals[i, 0] = n.x
-        normals[i, 1] = n.y
+    cx = base.centers()
+    # unit incident direction, from the served user (j * tx_step, h)
+    ix = cx - np.array(schedule.assignment, dtype=float) * schedule.tx_step
+    iy = base.y_height - scene.user_height
+    inc = np.hypot(ix, iy)
+    # unit desired direction, to the aperture centre; then the half vector
+    ox, oy = target.x - cx, target.y - base.y_height
+    out = np.hypot(ox, oy)
+    normals = np.column_stack((ox / out - ix / inc, oy / out - iy / inc))
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     return HsfPanel(base.y_height, base.x_start, base.x_end,
                     base.subunit_length, normals)

@@ -111,7 +111,6 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     floor_y = scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normals = panel.normals_array()
-    n_sub = panel.subunit_count
     rx = scene.rx_aperture.center
     r2 = scene.rx_aperture.radius ** 2
     inv_sq = cfg.spreading is Spreading.INVERSE_SQUARE
@@ -181,8 +180,7 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
         if inv_sq:
             cum_len = cum_len[keep] + t
         ceil = np.flatnonzero(dy > 0.0)
-        idx = ((ox[ceil] - panel.x_start) / panel.subunit_length).astype(int)
-        np.clip(idx, 0, n_sub - 1, out=idx)
+        idx = panel.index_at(ox[ceil])
         nx = normals[idx, 0]
         ny = normals[idx, 1]
         cdx = dx[ceil]
@@ -230,7 +228,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
     dx, dy = ray.direction.x, ray.direction.y
     path = [Vec2(ox, oy)]
     length = 0.0
-    bounce = ray.bounce_count
+    bounce = 0
     while True:
         ts = [(panel.y_height - oy) / dy if dy > 0.0 else math.inf,
               (scene.floor_y - oy) / dy if dy < 0.0 else math.inf,
@@ -301,9 +299,9 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     """
     dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, cfg.n_rays)
     per_ray = total_power * scene.tx.gain / cfg.n_rays
+    origin = scene.tx_origin(dislocation)
     captured, escaped, terminated = _trace_batch(
-        scene, panel, scene.tx.position.x + dislocation, scene.tx.position.y,
-        dx, dy, cfg)
+        scene, panel, origin.x, origin.y, dx, dy, cfg)
     return TraceOutcome(per_ray * captured, per_ray * escaped,
                         per_ray * terminated)
 
@@ -340,8 +338,7 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     ix = rel_x / dist
     iy = height / dist
 
-    idx = np.clip(((xs - panel.x_start) / panel.subunit_length).astype(int),
-                  0, panel.subunit_count - 1)
+    idx = panel.index_at(xs)
     normals = panel.normals_array()
     nx = normals[idx, 0]
     ny = normals[idx, 1]

@@ -17,8 +17,7 @@ from pwesim.experiment import ExperimentConfig, csv_text, run_sweep
 from pwesim.geometry import Circle, Vec2, angle_between, reflect
 from pwesim.latency import (LatencyBudget, MobilityModel, dislocation,
                             total_latency)
-from pwesim.scene import (Antenna, HsfPanel, Scene, mirror_panel,
-                          subunit_center)
+from pwesim.scene import Antenna, HsfPanel, Scene, mirror_panel
 from pwesim.steering import (Biased, Static, Unbiased, build_schedule,
                              materialize_normals, optimal_normal, _delta_i)
 from pwesim.tracer import (TracerConfig, analytic_received_power,
@@ -82,7 +81,7 @@ def test_criterion_3_normal_grid():
     i_grid = np.linspace(0, panel.subunit_count - 1, 50).astype(int)
     j_grid = np.linspace(0, 250, 20).astype(int)
     for i in i_grid:
-        center = subunit_center(panel, int(i))
+        center = Vec2(float(panel.centers()[i]), panel.y_height)
         for j in j_grid:
             user = Vec2(j * 0.002, scene.user_height)
             n = optimal_normal(center, user, target)

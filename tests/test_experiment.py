@@ -3,9 +3,12 @@ import math
 import pytest
 
 from pwesim.cli import _fmt_trim, main
-from pwesim.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
-                               _fmt, csv_text, dbm_to_watts, emit_config,
+from pwesim.experiment import (_KEYS, CSV_HEADER, ConfigError,
+                               ExperimentConfig, _fmt, csv_text, dbm_to_watts, emit_config,
                                emit_csv, load_config, parse_config, run_sweep)
+
+FLOAT_KEYS = [key for key, (_, kind) in _KEYS.items()
+              if kind in ("float", "float_list")]
 
 TINY = """
 # quick two-scheme setup for tests
@@ -88,6 +91,16 @@ class TestConfigParsing:
                          "scene.aperture = 0.08\n")
         assert parse_config("scene.rx_x = 0.6\nscene.rx_y_rel = 0.05\n"
                             "scene.aperture = 0.08\n").rx_x == 0.6
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "NaN"))
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: .*finite"):
+            parse_config(f"{key} = {value}\n")
+
+    def test_non_finite_list_entry_named(self):
+        with pytest.raises(ConfigError, match="^steering.bias_p: .*finite"):
+            parse_config("steering.bias_p = 0.1,nan\n")
 
     def test_sweep_points_default_grid(self):
         points = ExperimentConfig().sweep_points()
@@ -245,6 +258,18 @@ class TestCli:
         assert main(["sweep", str(cfg)]) == 2
         assert "sweep.step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ("scene.aperture = nan",
+                                      "sweep.step = nan"))
+    def test_non_finite_config_exits_2(self, capsys, tmp_path, line):
+        # a NaN aperture used to sweep to efficiency 0 in every row, and a
+        # NaN step to fail converting NaN to an integer
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
 
@@ -264,6 +289,20 @@ class TestCli:
         out = tmp_path / "paths.csv"
         assert main(["trace", str(cfg), "--scheme", "unbiased",
                      "--paths", str(out)]) == 2
+
+    def test_trace_dx_into_aperture_exits_2(self, capsys, tmp_path):
+        # at --dx 1.0 the transmitter sits inside the disc at (1.0, 1.05);
+        # traced, a 0.1 W fan delivered 109.5 W under inverse-square spreading
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("scene.rx_x = 1.0\nscene.rx_y_rel = 0.05\n"
+                       "tracer.spreading = inverse_square\n")
+        out = tmp_path / "paths.csv"
+        args = ["trace", str(cfg), "--scheme", "baseline", "--paths", str(out)]
+        assert main(args + ["--dx", "1.0"]) == 2
+        assert "--dx" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--dx", "0.9"]) == 0
+        assert out.exists()
 
     def test_schedule_dump(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

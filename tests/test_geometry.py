@@ -19,7 +19,6 @@ class TestVec2:
         b = Vec2(-3.0, 0.5)
         assert a + b == Vec2(-2.0, 2.5)
         assert a - b == Vec2(4.0, 1.5)
-        assert -a == Vec2(-1.0, -2.0)
         assert a.dot(b) == -2.0
         assert a.cross(b) == 1.0 * 0.5 - 2.0 * (-3.0)
 

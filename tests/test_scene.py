@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pwesim.experiment import ExperimentConfig
 from pwesim.geometry import Circle, Vec2
 from pwesim.scene import (Antenna, HsfPanel, Scene, _ceil_count,
-                          fan_directions, mirror_panel, rx_accepts,
-                          subunit_center, tx_ray_fan)
+                          fan_directions, mirror_panel, tx_ray_fan)
 
 DEG = math.pi / 180.0
 
@@ -50,26 +50,15 @@ class TestDefaultScene:
 
 class TestHsfPanel:
     def test_subunit_centers(self, scene):
-        panel = scene.ceiling
-        c0 = subunit_center(panel, 0)
-        assert c0.x == pytest.approx(-0.9995, abs=1e-12)
-        assert c0.y == 3.0
-        mid = subunit_center(panel, 2500)
-        assert mid.x == pytest.approx(1.5005, abs=1e-12)
+        centers = scene.ceiling.centers()
+        assert centers.shape == (5000,)
+        assert centers[0] == pytest.approx(-0.9995, abs=1e-12)
+        assert centers[2500] == pytest.approx(1.5005, abs=1e-12)
 
     def test_centers_strictly_increasing(self, scene):
-        panel = scene.ceiling
-        xs = [subunit_center(panel, i).x for i in range(0, 5000, 500)]
-        steps = np.diff(xs)
-        assert np.all(steps > 0)
-        assert subunit_center(panel, 11).x - subunit_center(panel, 10).x \
-            == pytest.approx(0.001, abs=1e-12)
-
-    def test_center_out_of_range(self, scene):
-        with pytest.raises(IndexError):
-            subunit_center(scene.ceiling, 5000)
-        with pytest.raises(IndexError):
-            subunit_center(scene.ceiling, -1)
+        centers = scene.ceiling.centers()
+        assert np.all(np.diff(centers) > 0)
+        assert centers[11] - centers[10] == pytest.approx(0.001, abs=1e-12)
 
     def test_index_at_clips(self, scene):
         panel = scene.ceiling
@@ -78,6 +67,20 @@ class TestHsfPanel:
         assert panel.index_at(4.0) == 4999
         assert panel.index_at(-0.9995) == 0
         assert panel.index_at(1.5005) == 2500
+        assert type(panel.index_at(1.5005)) is int
+
+    def test_index_at_owns_its_center(self, scene):
+        panel = scene.ceiling
+        idx = panel.index_at(panel.centers())
+        assert idx.tolist() == list(range(panel.subunit_count))
+
+    @given(xs=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=50),
+           step=st.sampled_from((0.001, 0.0025, 0.3, 1.0 / 3.0)))
+    def test_index_at_array_matches_scalar(self, xs, step):
+        # points past both ends clip to the first and last subunit
+        panel = mirror_panel(3.0, -1.0, 4.0, step)
+        got = panel.index_at(np.array(xs))
+        assert got.tolist() == [panel.index_at(x) for x in xs]
 
     def test_count_follows_span(self):
         panel = mirror_panel(3.0, 0.0, 1.0, 0.3)  # 1 / 0.3 -> 4 subunits
@@ -94,14 +97,23 @@ class TestHsfPanel:
 
     def test_normal_count_must_match(self):
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, [Vec2(0.0, -1.0)])
+            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, -1.0]]))
 
     def test_normals_must_be_unit_and_downward(self):
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5,
-                     [Vec2(0.0, -2.0), Vec2(0.0, -1.0)])
+            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, -2.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, [Vec2(0.0, 1.0), Vec2(0.0, -1.0)])
+            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, 1.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", ([math.nan, -1.0], [0.0, math.nan],
+                                     [math.inf, -1.0], [0.0, -math.inf]))
+    def test_non_finite_normals_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit-norm|downward"):
+            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([bad, [0.0, -1.0]]))
+
+    def test_normals_must_be_n_by_2(self):
+        with pytest.raises(ValueError):
+            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([0.0, -1.0, 0.0, -1.0]))
 
     def test_normals_array_read_only(self, scene):
         arr = scene.ceiling.normals_array()
@@ -133,6 +145,25 @@ class TestSceneValidation:
                   corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
                   rx_aperture=Circle(Vec2(0.05, 1.02), 0.1),
                   user_height=1.0, ceiling_height=3.0)
+
+    def test_tx_origin(self, scene):
+        assert scene.tx_origin(0.25) == Vec2(0.25, 1.0)
+
+    @pytest.mark.parametrize("d", (math.nan, math.inf, -math.inf))
+    def test_tx_origin_must_be_finite(self, scene, d):
+        with pytest.raises(ValueError, match="finite"):
+            scene.tx_origin(d)
+
+    def test_tx_origin_outside_aperture(self):
+        # the transmitter reaches the disc at (1.0, 1.05), radius 0.08, when
+        # the user has walked 0.94 m < d < 1.06 m
+        scn = ExperimentConfig(rx_x=1.0, rx_y_rel=0.05).scene()
+        assert scn.tx_origin(0.9) == Vec2(0.9, 1.0)
+        for d in (0.95, 1.0, 1.05):
+            with pytest.raises(ValueError, match="aperture"):
+                scn.tx_origin(d)
+        with pytest.raises(ValueError, match="aperture"):
+            tx_ray_fan(scn, 1.0, 5, total_power=0.1)
 
 
 class TestAntenna:
@@ -184,26 +215,3 @@ class TestFan:
         with pytest.raises(ValueError):
             tx_ray_fan(scene, 0.0, 5, total_power=-1.0)
 
-
-class TestRxAccepts:
-    def test_arrival_along_boresight(self, scene):
-        assert rx_accepts(scene, -scene.rx.boresight)
-
-    def test_edge_of_cone(self, scene):
-        tilt = 77.0 * DEG
-        inside = tilt + 29.9 * DEG  # effective arrival 29.9 deg off axis
-        outside = tilt + 30.1 * DEG
-        assert rx_accepts(scene, Vec2(math.sin(inside), -math.cos(inside)))
-        assert not rx_accepts(scene, Vec2(math.sin(outside),
-                                          -math.cos(outside)))
-
-    def test_zero_width_cone(self, scene):
-        rx = Antenna(scene.rx.position, scene.rx.boresight, 0.0)
-        narrow = Scene(ceiling=scene.ceiling, floor_y=0.0,
-                       corridor_x_min=-1.0, corridor_x_max=4.0,
-                       tx=scene.tx, rx=rx, rx_aperture=scene.rx_aperture,
-                       user_height=1.0, ceiling_height=3.0)
-        assert rx_accepts(narrow, -rx.boresight)
-        off = 1e-3
-        tilt = 77.0 * DEG + off
-        assert not rx_accepts(narrow, Vec2(math.sin(tilt), -math.cos(tilt)))

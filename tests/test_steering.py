@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from pwesim.geometry import Vec2, angle_between, reflect
 from pwesim.experiment import ExperimentConfig
-from pwesim.scene import subunit_center
 from pwesim.steering import (Biased, Schedule, Static, Unbiased,
                              build_schedule, materialize_normals,
                              optimal_normal, _delta_i)
@@ -185,7 +184,7 @@ class TestMaterializeNormals:
         user = Vec2(0.0, scene.user_height)
         target = scene.rx_aperture.center
         for i in (0, 1234, 2500, 4999):
-            center = subunit_center(panel, i)
+            center = Vec2(float(panel.centers()[i]), panel.y_height)
             incident = (center - user).normalized()
             desired = (target - center).normalized()
             r = reflect(incident, Vec2(*panel.normals_array()[i]))
@@ -196,6 +195,46 @@ class TestMaterializeNormals:
         sch = build_schedule(Static(), 9, 5, 0.002)  # 10 entries, panel 5000
         with pytest.raises(ValueError):
             materialize_normals(sch, scene)
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.floats(2.0, 5.0), user_frac=st.floats(0.05, 0.8),
+           length=st.floats(2.0, 6.0), offset_frac=st.floats(0.05, 0.5),
+           rx_frac=st.floats(0.02, 0.98), rx_rel_frac=st.floats(0.1, 0.95),
+           delta_hsf=st.floats(0.001, 0.01), tx_step=st.floats(0.0005, 0.01),
+           j_max=st.integers(0, 300), data=st.data(),
+           kind=st.sampled_from(("static", "unbiased", "biased")))
+    def test_matches_optimal_normal(self, height, user_frac, length,
+                                    offset_frac, rx_frac, rx_rel_frac,
+                                    delta_hsf, tx_step, j_max, data, kind):
+        """Every subunit's normal is optimal_normal's, for the user at
+        (j * tx_step, h) and the subunit midpoint x_start + (i + 0.5) dx."""
+        user_h = user_frac * height
+        offset = offset_frac * length
+        cfg = ExperimentConfig(
+            ceiling_height=height, corridor_length=length, tx_offset=offset,
+            user_height=user_h, rx_x=-offset + rx_frac * length,
+            rx_y_rel=0.06 + rx_rel_frac * (height - user_h - 0.07),
+            subunit_length=delta_hsf, tx_step=tx_step, aperture=0.05)
+        scene = cfg.scene()
+        base = scene.ceiling
+        if kind == "static":
+            mode = Static()
+        elif kind == "unbiased":
+            mode = Unbiased()
+        else:
+            mode = Biased(data.draw(st.floats(0.01, 0.99)),
+                          data.draw(st.integers(0, j_max)))
+        sch = build_schedule(mode, base.subunit_count - 1, j_max, tx_step)
+        got = materialize_normals(sch, scene).normals_array()
+        target = scene.rx_aperture.center
+        want = np.array([
+            (n.x, n.y) for n in (
+                optimal_normal(
+                    Vec2(base.x_start + (i + 0.5) * base.subunit_length,
+                         base.y_height),
+                    Vec2(j * tx_step, user_h), target)
+                for i, j in enumerate(sch.assignment))])
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_schedule_stats_counts_sum():

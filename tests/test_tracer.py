@@ -119,6 +119,14 @@ class TestReceivedPower:
         assert out.terminated_power == 0.0
         assert out.captured_power / 0.1 == pytest.approx(1.0, rel=1e-12)
 
+    def test_transmitter_inside_aperture_rejected(self):
+        scn = ExperimentConfig(rx_x=1.0, rx_y_rel=0.05).scene()
+        cfg = TracerConfig(n_rays=11)
+        with pytest.raises(ValueError, match="aperture"):
+            received_power(scn, scn.ceiling, 1.0, cfg, total_power=0.1)
+        out = received_power(scn, scn.ceiling, 0.9, cfg, total_power=0.1)
+        assert out.total_power == pytest.approx(0.1, rel=1e-12)
+
     def test_power_ledger_balances(self, scene, unbiased_panel):
         cfg = TracerConfig(n_rays=4001, max_bounces=16)
         for d in (0.0, 0.13, 0.37):
