@@ -119,6 +119,20 @@ def _cmd_delay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a bad count is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwesim",
@@ -130,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="config file; defaults apply when omitted")
     p_sweep.add_argument("--out", default=None,
                          help="CSV path (default: output.csv key)")
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", type=_int_at_least(1), default=1,
                          help="parallel worker processes (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -144,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("static", "unbiased", "biased", "baseline"))
     p_trace.add_argument("--bias-p", type=float, default=None,
                          help="which biased p to trace (default: first)")
-    p_trace.add_argument("--rays", type=int, default=101,
+    p_trace.add_argument("--rays", type=_int_at_least(2), default=101,
                          help="fan size for the dump (default 101)")
     p_trace.set_defaults(func=_cmd_trace)
 

@@ -201,6 +201,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         err("scene.delta_tx", "must be > 0")
     if cfg.aperture <= 0:
         err("scene.aperture", "must be > 0")
+    rx_y = cfg.user_height + cfg.rx_y_rel
+    if not (rx_y - cfg.aperture > 0.0
+            and rx_y + cfg.aperture < cfg.ceiling_height):
+        err("scene.aperture", "the receive disc at scene.rx_y_rel must lie"
+            " strictly between the floor and the ceiling")
     if not 0 < cfg.tx_beam_deg < 180:
         err("antenna.tx_beam_deg", "must be in (0, 180)")
     if not 0 < cfg.rx_beam_deg <= 360:
@@ -272,24 +277,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def emit_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to text; parse(emit(cfg)) == cfg."""
-    lines = []
-    for key, (field, kind) in _KEYS.items():
-        value = getattr(cfg, field)
-        if kind in ("str_list", "float_list"):
-            text = ",".join(repr(v) if kind == "float_list" else v
-                            for v in value)
-        elif kind == "bool":
-            text = "true" if value else "false"
-        elif kind == "float":
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,12 @@ class Scene:
         if self.corridor_x_max <= self.corridor_x_min:
             raise ValueError("corridor_x_max must exceed corridor_x_min")
         c = self.rx_aperture.center
-        if not (self.corridor_x_min < c.x < self.corridor_x_max
-                and self.floor_y < c.y < self.ceiling_height):
+        r = self.rx_aperture.radius
+        if not self.corridor_x_min < c.x < self.corridor_x_max:
             raise ValueError("rx_aperture center must lie strictly inside the corridor")
+        if not (self.floor_y < c.y - r and c.y + r < self.ceiling_height):
+            raise ValueError(
+                "rx_aperture must lie strictly between the floor and the ceiling")
         self.tx_origin(0.0)
         if self.tx.position.y != self.user_height:
             raise ValueError("tx antenna must sit at user_height")

@@ -110,15 +110,16 @@ def test_criterion_4_energy_conservation():
         panel = HsfPanel(height, x_min, x_max, step,
                          np.column_stack((np.sin(tilts), -np.cos(tilts))))
         rx_x = rng.uniform(x_min + 0.3, x_max - 0.3)
-        rx_y = rng.uniform(user_h + 0.2, height - 0.1)
+        # the disc may come within 1 cm of the ceiling, but not cross it
+        radius = rng.uniform(0.02, 0.15)
+        rx_y = rng.uniform(user_h + 0.2, height - radius - 0.01)
         scn = Scene(ceiling=panel, floor_y=0.0, corridor_x_min=x_min,
                     corridor_x_max=x_max,
                     tx=Antenna(Vec2(0.0, user_h), Vec2(0.0, 1.0),
                                rng.uniform(0.05, 0.6)),
                     rx=Antenna(Vec2(rx_x, rx_y), Vec2(0.0, 1.0),
                                rng.uniform(0.1, 1.0)),
-                    rx_aperture=Circle(Vec2(rx_x, rx_y),
-                                       rng.uniform(0.02, 0.15)),
+                    rx_aperture=Circle(Vec2(rx_x, rx_y), radius),
                     user_height=user_h, ceiling_height=height)
         cfg = TracerConfig(n_rays=2001, max_bounces=int(rng.integers(1, 17)))
         out = received_power(scn, panel, float(rng.uniform(0.0, 0.5)), cfg,

@@ -137,6 +137,18 @@ class TestSceneValidation:
                   rx_aperture=Circle(Vec2(9.0, 2.4), 0.05),
                   user_height=1.0, ceiling_height=3.0)
 
+    @pytest.mark.parametrize("y", (2.95, 0.05))
+    def test_aperture_must_not_cross_ceiling_or_floor(self, scene, y):
+        def build(radius):
+            return Scene(ceiling=scene.ceiling, floor_y=0.0,
+                         corridor_x_min=-1.0, corridor_x_max=4.0,
+                         tx=scene.tx, rx=scene.rx,
+                         rx_aperture=Circle(Vec2(3.6, y), radius),
+                         user_height=1.0, ceiling_height=3.0)
+        with pytest.raises(ValueError, match="between the floor and the"):
+            build(0.08)
+        assert build(0.04).rx_aperture.radius == 0.04
+
     def test_aperture_must_not_contain_transmitter(self, scene):
         # a disc around the transmitter captured rays at a negative entry
         # distance: 22.7 W from a 0.1 W fan under inverse-square spreading

@@ -213,7 +213,8 @@ class TestMaterializeNormals:
         cfg = ExperimentConfig(
             ceiling_height=height, corridor_length=length, tx_offset=offset,
             user_height=user_h, rx_x=-offset + rx_frac * length,
-            rx_y_rel=0.06 + rx_rel_frac * (height - user_h - 0.07),
+            # the 5 cm disc stays 1 cm below the ceiling
+            rx_y_rel=0.06 + rx_rel_frac * (height - user_h - 0.12),
             subunit_length=delta_hsf, tx_step=tx_step, aperture=0.05)
         scene = cfg.scene()
         base = scene.ceiling

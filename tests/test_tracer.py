@@ -10,7 +10,7 @@ from pwesim.scene import (Antenna, HsfPanel, Scene, fan_directions,
                           mirror_panel, tx_ray_fan)
 from pwesim.steering import Static, Unbiased, build_schedule, \
     materialize_normals
-from pwesim.tracer import (Captured, Escaped, Spreading, Terminated,
+from pwesim.tracer import (_BLOCK, Captured, Escaped, Spreading, Terminated,
                            TracerConfig, _fan, _trace_batch,
                            analytic_received_power, received_power, trace_ray)
 
@@ -266,15 +266,16 @@ def random_scene(rng: np.random.Generator) -> Scene:
     normals = np.column_stack((np.sin(tilts), -np.cos(tilts)))
     panel = HsfPanel(height, x_min, x_max, step, normals)
     rx_x = rng.uniform(x_min + 0.3, x_max - 0.3)
-    rx_y = rng.uniform(user_h + 0.2, height - 0.1)
+    # the disc may come within 1 cm of the ceiling, but not cross it
+    radius = rng.uniform(0.02, 0.15)
+    rx_y = rng.uniform(user_h + 0.2, height - radius - 0.01)
     return Scene(ceiling=panel, floor_y=0.0, corridor_x_min=x_min,
                  corridor_x_max=x_max,
                  tx=Antenna(Vec2(0.0, user_h), Vec2(0.0, 1.0),
                             rng.uniform(0.05, 0.6)),
                  rx=Antenna(Vec2(rx_x, rx_y), Vec2(0.0, 1.0),
                             rng.uniform(0.1, 1.0)),
-                 rx_aperture=Circle(Vec2(rx_x, rx_y),
-                                    rng.uniform(0.02, 0.15)),
+                 rx_aperture=Circle(Vec2(rx_x, rx_y), radius),
                  user_height=user_h, ceiling_height=height)
 
 
@@ -356,6 +357,38 @@ class TestKernelContract:
             assert (inv_escaped, inv_terminated) == (escaped, terminated)
             assert all(type(c) is int for c in (inv_escaped, inv_terminated))
             assert (gain > 0.0) == (captured > 0)
+
+    @pytest.mark.parametrize("kind", ("mirror", "unbiased"))
+    def test_exact_across_block_boundaries(self, scene, unbiased_panel, kind):
+        """The first n rays of one fan, for n just below, at and just above
+        a block boundary, give exactly the counts of their rays traced one
+        by one and, under inverse-square spreading, the fsum of their
+        gains."""
+        panel = scene.ceiling if kind == "mirror" else unbiased_panel
+        dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth,
+                              2 * _BLOCK + 1)
+        # at d = 0.05 the unbiased panel captures rays in all three blocks
+        # of the largest fan, and a sum of per-block fsums is one ulp off
+        origin = scene.tx_origin(0.05)
+        cfg = {s: TracerConfig(n_rays=2, max_bounces=6, spreading=s)
+               for s in Spreading}
+        ray_cfg = cfg[Spreading.INVERSE_SQUARE]
+        fates = [trace_ray(scene, panel, Ray(origin, Vec2(float(x), float(y))),
+                           ray_cfg) for x, y in dirs]
+        for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+            head = fates[:n]
+            gains = [f.power for f in head if isinstance(f, Captured)]
+            want = (len(gains),
+                    sum(isinstance(f, Escaped) for f in head),
+                    sum(isinstance(f, Terminated) for f in head))
+            assert sum(want) == n
+            args = (scene, panel, origin.x, origin.y, dirs[:n, 0],
+                    dirs[:n, 1])
+            assert _trace_batch(*args, cfg[Spreading.GEOMETRIC]) == want
+            captured, escaped, terminated = _trace_batch(
+                *args, cfg[Spreading.INVERSE_SQUARE])
+            assert (escaped, terminated) == want[1:]
+            assert captured == math.fsum(gains)
 
     def test_tie_goes_to_ceiling_or_floor(self, scene):
         # the ray meets the ceiling and the right wall at the same distance;
