@@ -193,8 +193,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         err("scene.L", "must be > 0")
     if not 0 < cfg.user_height < cfg.ceiling_height:
         err("scene.h", "must lie strictly between the floor and scene.H")
-    if cfg.tx_offset < 0 or cfg.tx_offset >= cfg.corridor_length:
-        err("scene.offset", "must keep x = 0 inside the corridor")
+    x_max = cfg.corridor_length - cfg.tx_offset
+    if cfg.tx_offset <= 0 or x_max <= 0:
+        err("scene.offset", "must keep x = 0 strictly inside the corridor")
+    if not -cfg.tx_offset < cfg.rx_x < x_max:
+        err("scene.rx_x", "must lie strictly inside the corridor, between"
+            " -scene.offset and scene.L - scene.offset")
     if cfg.subunit_length <= 0:
         err("scene.delta_hsf", "must be > 0")
     if cfg.tx_step <= 0:
@@ -244,6 +248,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         err("sweep.stop", "must be >= sweep.start")
     if cfg.sweep_start < 0:
         err("sweep.start", "must be >= 0")
+    if cfg.sweep_stop >= x_max:
+        err("sweep.stop", "must keep the transmitter inside the corridor,"
+            " below scene.L - scene.offset")
     # nearest swept transmitter position to the aperture center
     near_x = min(max(cfg.rx_x, cfg.sweep_start), cfg.sweep_stop)
     if math.hypot(cfg.rx_x - near_x, cfg.rx_y_rel) <= cfg.aperture:

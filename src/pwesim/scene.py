@@ -167,11 +167,16 @@ class Scene:
 
     def tx_origin(self, dislocation: float) -> Vec2:
         """Transmitter position after the user walks `dislocation` meters;
-        ValueError if it is not finite or lies inside the receive aperture,
-        where a ray would be captured at a negative entry distance."""
+        ValueError if it is not finite, not strictly between the open ends
+        of the corridor, or inside the receive aperture, where a ray would
+        be captured at a negative entry distance."""
         origin = Vec2(self.tx.position.x + dislocation, self.tx.position.y)
         if not math.isfinite(origin.x):
             raise ValueError(f"dislocation must be finite, got {dislocation!r}")
+        if not self.corridor_x_min < origin.x < self.corridor_x_max:
+            raise ValueError(
+                f"dislocation {dislocation!r} puts the transmitter outside"
+                " the corridor")
         if (origin - self.rx_aperture.center).norm <= self.rx_aperture.radius:
             raise ValueError(
                 f"dislocation {dislocation!r} puts the transmitter inside"

@@ -7,7 +7,8 @@ budget. Capture is tested on every straight segment before the next
 surface hit, so a ray cannot fly through the aperture unnoticed.
 
 `received_power` runs the whole fan through one vectorized kernel that
-counts rays per fate, walking the fan in fixed blocks of rays; every
+counts rays per fate, walking the fan in fixed blocks of rays, each split
+once by heading so that a group meets one surface per step; every
 operation is per ray and the only sums are integer counts and one exact
 `math.fsum`, so results do not depend on the block size. `trace_ray`
 follows a single ray with the same arithmetic in plain floats and records
@@ -116,10 +117,12 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     rays' gains 1 / L^2 instead of their count. Either way the result does
     not depend on summation order, so it is the same for any process or
     worker count, and for any block size. All per-step work is vectorized
-    over the still-alive subset of each 8192-ray block (`_BLOCK`).
+    over the still-alive subset of each group of each 8192-ray block
+    (`_BLOCK`): the rays heading up, and the rest. Every live ray of a group
+    is at the same surface at every step, ceiling and floor in turn, since
+    a ceiling reflection that does not send a ray down absorbs it.
     """
-    ceil_y = panel.y_height
-    floor_y = scene.floor_y
+    ceil_y, floor_y = panel.y_height, scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normals = panel.normals_array()
     rx = scene.rx_aperture.center
@@ -134,89 +137,86 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     gains: list[float] = []  # inverse-square only
 
     captured = escaped = terminated = 0
-    inf = np.inf
     for lo in range(0, len(rays[0]), _BLOCK):
-        ox, oy, dx, dy = (a[lo:lo + _BLOCK] for a in rays)
-        if inv_sq:
-            cum_len = np.zeros(len(dx))
-        # every live ray has made exactly `step` surface bounces so far
-        for step in range(cfg.max_bounces + 1):
-            n = len(dx)
-            if n == 0:
-                break
-            # two candidate surfaces: the ceiling or floor ahead and the wall
-            # ahead; a ray parallel to one, or on it, gets inf for it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_v = (np.where(dy > 0.0, ceil_y, floor_y) - oy) / dy
-                t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
-            t_v = np.where(t_v > FORWARD_EPS, t_v, inf)
-            t_w = np.where(t_w > FORWARD_EPS, t_w, inf)
-            t_surf = np.minimum(t_v, t_w)
-
-            # aperture capture on this segment, before the surface
-            mx = rx.x - ox
-            my = rx.y - oy
-            s = mx * dx + my * dy
-            h2 = np.maximum(mx * mx + my * my - s * s, 0.0)
-            cap = (s > FORWARD_EPS) & (h2 <= r2) & (s < t_surf)
-            if cfg.rx_cone_gate:
-                cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
-            n_cap = int(np.count_nonzero(cap))
+        block = [a[lo:lo + _BLOCK] for a in rays]
+        rising = block[3] > 0.0
+        # split once by heading: each group meets one surface per step
+        for up, group in ((True, rising), (False, ~rising)):
+            ox, oy, dx, dy = (a[group] for a in block)
             if inv_sq:
-                s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
-                gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
-            else:
-                captured += n_cap
+                cum_len = np.zeros(len(dx))
+            # every live ray has made exactly `step` surface bounces so far
+            for step in range(cfg.max_bounces + 1):
+                n = len(dx)
+                if n == 0:
+                    break
+                # two candidate surfaces: the ceiling or floor ahead and the
+                # wall ahead; a ray parallel to one, or on it, gets inf for it
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t_v = ((ceil_y if up else floor_y) - oy) / dy
+                    t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
+                t_v = np.where(t_v > FORWARD_EPS, t_v, np.inf)
+                t_w = np.where(t_w > FORWARD_EPS, t_w, np.inf)
+                t_surf = np.minimum(t_v, t_w)
 
-            # the rest escape through an open end if the wall is strictly
-            # nearer, hit the ceiling or floor if that is finite, and are
-            # otherwise stuck (not for unit directions), absorbed to keep the
-            # ledger
-            free = ~cap
-            wall = t_w < t_v
-            n_out = int(np.count_nonzero(free & wall))
-            live = free & ~wall & (t_v < inf)
-            n_live = int(np.count_nonzero(live))
-            escaped += n_out
-            terminated += n - n_cap - n_out - n_live
-            if step == cfg.max_bounces:
-                # bounce budget spent: absorb every ray still in flight
-                terminated += n_live
-                break
-
-            # compact to the survivors, then advance them to the surface
-            keep = np.flatnonzero(live)
-            t = t_surf[keep]
-            dx = dx[keep]
-            dy = dy[keep]
-            ox = ox[keep] + t * dx
-            if inv_sq:
-                cum_len = cum_len[keep] + t
-            ceil = np.flatnonzero(dy > 0.0)
-            idx = panel.index_at(ox[ceil])
-            nx = normals[idx, 0]
-            ny = normals[idx, 1]
-            cdx = dx[ceil]
-            cdy = dy[ceil]
-            k = 2.0 * (cdx * nx + cdy * ny)
-            rx_dir = cdx - k * nx
-            ry_dir = cdy - k * ny
-            norm = np.hypot(rx_dir, ry_dir)
-            rx_dir /= norm
-            ry_dir /= norm
-            dy = -dy  # the floor is a plain mirror
-            dx[ceil] = rx_dir
-            dy[ceil] = ry_dir
-            # a virtual normal may send the ray back out through the panel;
-            # the surface cannot transmit, so treat that as absorbed
-            bad = ceil[ry_dir >= 0.0]
-            if len(bad):
-                terminated += len(bad)
-                ox, dx, dy = (np.delete(a, bad) for a in (ox, dx, dy))
+                # aperture capture on this segment, before the surface
+                mx = rx.x - ox
+                my = rx.y - oy
+                s = mx * dx + my * dy
+                h2 = np.maximum(mx * mx + my * my - s * s, 0.0)
+                cap = (s > FORWARD_EPS) & (h2 <= r2) & (s < t_surf)
+                if cfg.rx_cone_gate:
+                    cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
+                n_cap = int(np.count_nonzero(cap))
                 if inv_sq:
-                    cum_len = np.delete(cum_len, bad)
-            # a ray heading down left the ceiling, one heading up the floor
-            oy = np.where(dy < 0.0, ceil_y, floor_y)
+                    s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
+                    gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
+                else:
+                    captured += n_cap
+
+                # the rest escape through an open end if the wall is strictly
+                # nearer, hit the ceiling or floor if that is finite, and are
+                # otherwise stuck (not for unit directions) and absorbed
+                free = ~cap
+                wall = t_w < t_v
+                n_out = int(np.count_nonzero(free & wall))
+                live = free & ~wall & (t_v < np.inf)
+                n_live = int(np.count_nonzero(live))
+                escaped += n_out
+                terminated += n - n_cap - n_out - n_live
+                if step == cfg.max_bounces:
+                    # bounce budget spent: absorb every ray still in flight
+                    terminated += n_live
+                    break
+
+                # compact to the survivors, then advance them to the surface
+                keep = np.flatnonzero(live)
+                t = t_surf[keep]
+                dx, dy = dx[keep], dy[keep]
+                ox = ox[keep] + t * dx
+                if inv_sq:
+                    cum_len = cum_len[keep] + t
+                if up:
+                    idx = panel.index_at(ox)
+                    nx = normals[idx, 0]
+                    ny = normals[idx, 1]
+                    k = 2.0 * (dx * nx + dy * ny)
+                    dx, dy = dx - k * nx, dy - k * ny
+                    norm = np.hypot(dx, dy)
+                    dx, dy = dx / norm, dy / norm
+                    # a virtual normal may send the ray back out through the
+                    # panel, which cannot transmit: absorb it
+                    down = dy < 0.0
+                    n_down = int(np.count_nonzero(down))
+                    if n_down < n_live:
+                        terminated += n_live - n_down
+                        ox, dx, dy = ox[down], dx[down], dy[down]
+                        if inv_sq:
+                            cum_len = cum_len[down]
+                    oy, up = ceil_y, False
+                else:
+                    dy = -dy  # the floor is a plain mirror
+                    oy, up = floor_y, True
 
     if inv_sq:
         captured = math.fsum(gains)

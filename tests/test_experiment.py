@@ -96,6 +96,30 @@ class TestConfigParsing:
         assert parse_config("scene.rx_x = 0.6\nscene.rx_y_rel = 0.05\n"
                             "scene.aperture = 0.08\n").rx_x == 0.6
 
+    @pytest.mark.parametrize("rx_x", ("10", "4.0", "-1.0", "-2.5"))
+    def test_receiver_must_lie_inside_corridor(self, rx_x):
+        # the default corridor spans -1 m < x < 4 m; a receiver at 10 m
+        # used to pass here and fail in Scene as a runtime error
+        with pytest.raises(ConfigError, match="^scene.rx_x: .*corridor"):
+            parse_config(f"scene.rx_x = {rx_x}\n")
+        assert parse_config("scene.rx_x = 3.9\n").rx_x == 3.9
+
+    def test_sweep_must_keep_transmitter_inside_corridor(self):
+        # swept to 4.6 m, the transmitter left through the open end at 4 m
+        # and the baseline still reported an efficiency of 0.19
+        with pytest.raises(ConfigError, match="^sweep.stop: .*corridor"):
+            parse_config("sweep.start = 4.5\nsweep.stop = 4.6\n"
+                         "scene.rx_x = 3.0\n")
+        with pytest.raises(ConfigError, match="^sweep.stop: "):
+            parse_config("sweep.stop = 4.0\n")
+        assert parse_config("sweep.stop = 3.9\n").sweep_stop == 3.9
+
+    @pytest.mark.parametrize("offset", ("0", "5.0"))
+    def test_offset_keeps_origin_strictly_inside(self, offset):
+        # at offset 0 the transmitter would stand on the left wall
+        with pytest.raises(ConfigError, match="^scene.offset: "):
+            parse_config(f"scene.offset = {offset}\n")
+
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "NaN"))
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_named(self, key, value):
@@ -306,6 +330,29 @@ class TestCli:
         assert "--dx" in capsys.readouterr().err
         assert not out.exists()
         assert main(args + ["--dx", "0.9"]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("text,key", (
+        ("scene.rx_x = 10\n", "scene.rx_x"),
+        ("sweep.start = 4.5\nsweep.stop = 4.6\nscene.rx_x = 3.0\n",
+         "sweep.stop")))
+    def test_geometry_outside_corridor_exits_2(self, capsys, tmp_path, text,
+                                                key):
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_dx_outside_corridor_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "paths.csv"
+        args = ["trace", "--scheme", "baseline", "--paths", str(out),
+                "--rays", "9"]
+        assert main(args + ["--dx", "4.5"]) == 2
+        assert "--dx: " in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--dx", "3.5"]) == 0
         assert out.exists()
 
     def test_schedule_dump(self, capsys, tmp_path):

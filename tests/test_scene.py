@@ -166,6 +166,16 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="finite"):
             scene.tx_origin(d)
 
+    @pytest.mark.parametrize("d", (4.0, 4.5, -1.0, -3.0))
+    def test_tx_origin_must_be_inside_corridor(self, scene, d):
+        # the default corridor spans -1 m < x < 4 m
+        with pytest.raises(ValueError, match="outside the corridor"):
+            scene.tx_origin(d)
+        with pytest.raises(ValueError, match="outside the corridor"):
+            tx_ray_fan(scene, d, 5, total_power=0.1)
+        assert scene.tx_origin(3.99) == Vec2(3.99, 1.0)
+        assert scene.tx_origin(-0.99) == Vec2(-0.99, 1.0)
+
     def test_tx_origin_outside_aperture(self):
         # the transmitter reaches the disc at (1.0, 1.05), radius 0.08, when
         # the user has walked 0.94 m < d < 1.06 m

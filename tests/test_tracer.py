@@ -329,6 +329,52 @@ class TestScalarReference:
                 assert (captured, escaped, terminated) == (0, 0, 1)
             assert fate.path[0] == ray.origin
 
+    @settings(max_examples=60, deadline=None)
+    @given(panel_kind=st.sampled_from(("static", "unbiased", "mirror",
+                                       "random")),
+           seed=st.integers(0, 2**32 - 1),
+           max_bounces=st.integers(1, 16),
+           spreading=st.sampled_from(tuple(Spreading)),
+           cone=st.booleans())
+    def test_mixed_batch_matches_per_ray(self, scene, static_panel,
+                                         unbiased_panel, panel_kind, seed,
+                                         max_bounces, spreading, cone):
+        """One batch of rays, each from its own origin and heading any way
+        (axis rays and dy == -0.0 included), so that both heading groups of
+        the kernel run: its counts are exactly those of the rays traced one
+        by one, and under inverse-square spreading the fsum of their gains."""
+        rng = np.random.default_rng(seed)
+        if panel_kind == "random":
+            scn = random_scene(rng)
+            panel = scn.ceiling
+        else:
+            scn = scene
+            panel = {"static": static_panel, "unbiased": unbiased_panel,
+                     "mirror": scene.ceiling}[panel_kind]
+        n = 200
+        ox = rng.uniform(scn.corridor_x_min, scn.corridor_x_max, n)
+        oy = rng.uniform(scn.floor_y, scn.ceiling_height, n)
+        c, r = scn.rx_aperture.center, scn.rx_aperture.radius
+        inside = ((ox > scn.corridor_x_min) & (oy > scn.floor_y)
+                  & (np.hypot(ox - c.x, oy - c.y) > r))
+        ox, oy = ox[inside], oy[inside]
+        angle = rng.uniform(-math.pi, math.pi, len(ox))
+        dx, dy = np.cos(angle), np.sin(angle)
+        axis = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                (1.0, -0.0), (-1.0, -0.0))
+        dx[:len(axis)], dy[:len(axis)] = zip(*axis)
+        cfg = TracerConfig(n_rays=2, max_bounces=max_bounces,
+                           spreading=spreading, rx_cone_gate=cone)
+        rays = zip(*(a.tolist() for a in (ox, oy, dx, dy)))
+        fates = [trace_ray(scn, panel, Ray(Vec2(x, y), Vec2(u, v)), cfg)
+                 for x, y, u, v in rays]
+        gains = [f.power for f in fates if isinstance(f, Captured)]
+        n_escaped = sum(isinstance(f, Escaped) for f in fates)
+        want = (math.fsum(gains) if spreading is Spreading.INVERSE_SQUARE
+                else len(gains),
+                n_escaped, len(fates) - len(gains) - n_escaped)
+        assert _trace_batch(scn, panel, ox, oy, dx, dy, cfg) == want
+
 
 class TestKernelContract:
     def test_counts_close_as_integers(self):
