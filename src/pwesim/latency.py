@@ -24,7 +24,7 @@ class LatencyBudget:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 0.0:
+            if not value >= 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
@@ -35,7 +35,7 @@ class MobilityModel:
     speed: float  # meters per second
 
     def __post_init__(self) -> None:
-        if self.speed < 0.0:
+        if not self.speed >= 0.0:
             raise ValueError(f"speed must be >= 0, got {self.speed!r}")
 
 
@@ -47,6 +47,6 @@ def total_latency(budget: LatencyBudget) -> float:
 
 def dislocation(mobility: MobilityModel, latency: float) -> float:
     """Distance walked during `latency` seconds, meters."""
-    if latency < 0.0:
+    if not latency >= 0.0:
         raise ValueError(f"latency must be >= 0, got {latency!r}")
     return mobility.speed * latency

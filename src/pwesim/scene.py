@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, Ray, Vec2, _require_unit
+from .geometry import FORWARD_EPS, Circle, Ray, Vec2, _require_unit
 
 
 def _ceil_count(span: float, step: float) -> int:
@@ -60,7 +60,7 @@ class HsfPanel:
     into the corridor (negative y).
     """
 
-    __slots__ = ("y_height", "x_start", "x_end", "subunit_length", "_xy")
+    __slots__ = ("y_height", "x_start", "x_end", "subunit_length", "_cols")
 
     def __init__(self, y_height: float, x_start: float, x_end: float,
                  subunit_length: float, normals) -> None:
@@ -68,34 +68,36 @@ class HsfPanel:
             raise ValueError(f"subunit_length must be > 0, got {subunit_length!r}")
         if x_end <= x_start:
             raise ValueError("x_end must exceed x_start")
-        xy = np.array(normals, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
+        # one copy, stored as contiguous x and y columns for the tracer
+        cols = np.array(np.asarray(normals, dtype=float).T, order="C")
+        if cols.ndim != 2 or cols.shape[0] != 2:
             raise ValueError("normals must be an (N, 2) array")
         expected = _ceil_count(x_end - x_start, subunit_length)
-        if len(xy) != expected:
+        if cols.shape[1] != expected:
             raise ValueError(
                 f"panel spans {x_end - x_start!r} m at {subunit_length!r} m per "
-                f"subunit and needs {expected} normals, got {len(xy)}")
+                f"subunit and needs {expected} normals, got {cols.shape[1]}")
         # written so that a NaN fails both checks
-        norms = np.hypot(xy[:, 0], xy[:, 1])
+        norms = np.hypot(cols[0], cols[1])
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("every panel normal must be unit-norm")
-        if not np.all(xy[:, 1] < 0.0):
+        if not np.all(cols[1] < 0.0):
             raise ValueError("every panel normal must point downward (y < 0)")
         self.y_height = float(y_height)
         self.x_start = float(x_start)
         self.x_end = float(x_end)
         self.subunit_length = float(subunit_length)
-        xy.flags.writeable = False
-        self._xy = xy
+        cols.flags.writeable = False
+        self._cols = cols
 
     @property
     def subunit_count(self) -> int:
-        return len(self._xy)
+        return self._cols.shape[1]
 
     def normals_array(self) -> np.ndarray:
-        """Read-only (N, 2) float view of the normals, for the batch tracer."""
-        return self._xy
+        """Read-only (N, 2) float view of the normals; its transpose is the
+        (2, N) array of contiguous x and y columns that the tracer reads."""
+        return self._cols.T
 
     def centers(self) -> np.ndarray:
         """x of every subunit midpoint, in index order."""
@@ -116,7 +118,7 @@ class HsfPanel:
                 and self.x_start == other.x_start
                 and self.x_end == other.x_end
                 and self.subunit_length == other.subunit_length
-                and np.array_equal(self._xy, other._xy))
+                and np.array_equal(self._cols, other._cols))
 
     def __repr__(self) -> str:
         return (f"HsfPanel(y={self.y_height}, x=[{self.x_start}, {self.x_end}], "
@@ -150,6 +152,10 @@ class Scene:
             raise ValueError(
                 f"user_height must sit strictly between floor and ceiling, "
                 f"got {self.user_height!r} vs {self.ceiling_height!r}")
+        # the tracer needs no forward filter on a floor-to-ceiling leg
+        if not self.ceiling_height - self.floor_y > FORWARD_EPS:
+            raise ValueError("the ceiling must lie more than FORWARD_EPS"
+                             " above the floor")
         if self.corridor_x_max <= self.corridor_x_min:
             raise ValueError("corridor_x_max must exceed corridor_x_min")
         c = self.rx_aperture.center
@@ -198,6 +204,12 @@ def fan_directions(boresight: Vec2, beam_halfwidth: float,
     return np.column_stack((np.cos(ang), np.sin(ang)))
 
 
+def _require_power(total_power: float) -> None:
+    if not 0.0 <= total_power < math.inf:
+        raise ValueError(
+            f"total_power must be finite and >= 0, got {total_power!r}")
+
+
 def tx_ray_fan(scene: Scene, dislocation: float, n_rays: int,
                total_power: float) -> list[Ray]:
     """Launch fan for the transmitter displaced by `dislocation` meters.
@@ -206,8 +218,7 @@ def tx_ray_fan(scene: Scene, dislocation: float, n_rays: int,
     multiply and one divide, so summing the fan reproduces the total without
     accumulation drift.
     """
-    if total_power < 0.0:
-        raise ValueError(f"total_power must be >= 0, got {total_power!r}")
+    _require_power(total_power)
     origin = scene.tx_origin(dislocation)
     dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth, n_rays)
     per_ray = total_power * scene.tx.gain / n_rays

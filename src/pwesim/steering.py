@@ -180,7 +180,7 @@ def materialize_normals(schedule: Schedule, scene: Scene) -> HsfPanel:
     # unit desired direction, to the aperture centre; then the half vector
     ox, oy = target.x - cx, target.y - base.y_height
     out = np.hypot(ox, oy)
-    normals = np.column_stack((ox / out - ix / inc, oy / out - iy / inc))
-    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    normals = np.stack((ox / out - ix / inc, oy / out - iy / inc))
+    normals /= np.hypot(normals[0], normals[1])
     return HsfPanel(base.y_height, base.x_start, base.x_end,
-                    base.subunit_length, normals)
+                    base.subunit_length, normals.T)

@@ -10,7 +10,11 @@ surface hit, so a ray cannot fly through the aperture unnoticed.
 counts rays per fate, walking the fan in fixed blocks of rays, each split
 once by heading so that a group meets one surface per step; every
 operation is per ray and the only sums are integer counts and one exact
-`math.fsum`, so results do not depend on the block size. `trace_ray`
+`math.fsum`, so results do not depend on the block size. The fan's shared
+origin stays scalar through the first step, a step at which every ray
+lives on is not compacted, and after the first step the distance to the
+ceiling or floor needs no forward filter, since a ray then leaves the
+other one and the scene keeps their span above `FORWARD_EPS`. `trace_ray`
 follows a single ray with the same arithmetic in plain floats and records
 its polyline; it is the kernel's per-ray reference.
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FORWARD_EPS, Ray, Vec2
-from .scene import HsfPanel, Scene, fan_directions
+from .scene import HsfPanel, Scene, _require_power, fan_directions
 
 # Rays per kernel block. A float64 temporary of one block is 64 KiB, so a
 # step's working set fits a 2 MiB per-core L2, and each temporary stays
@@ -108,6 +112,10 @@ class TraceOutcome:
         return self.captured_power + self.escaped_power + self.terminated_power
 
 
+# A ray parallel to a surface, or on it, gets an inf or nan distance to it,
+# and a dropped ray may advance to nan; the kernel filters or drops every
+# such value before it can decide a fate.
+@np.errstate(divide="ignore", invalid="ignore")
 def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                  cfg: TracerConfig) -> tuple[float, int, int]:
     """Trace unbounced rays; returns (captured, escaped, terminated) counts.
@@ -121,10 +129,20 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     (`_BLOCK`): the rays heading up, and the rest. Every live ray of a group
     is at the same surface at every step, ceiling and floor in turn, since
     a ceiling reflection that does not send a ray down absorbs it.
+
+    A shared origin stays a pair of scalars through step 0, and a step at
+    which every ray lives on is not compacted. After step 0 a group sits
+    on the ceiling or the floor, so the distance to the other one is
+    span / |dy| >= span > FORWARD_EPS (`Scene` checks the span, the panel
+    must sit at the scene's ceiling height, and a reflection keeps
+    |dy| <= 1): it needs no forward filter. Directions must be unit
+    vectors.
     """
+    if panel.y_height != scene.ceiling_height:
+        raise ValueError("panel must sit at the scene's ceiling height")
     ceil_y, floor_y = panel.y_height, scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
-    normals = panel.normals_array()
+    normal_x, normal_y = panel.normals_array().T  # contiguous columns
     rx = scene.rx_aperture.center
     r2 = scene.rx_aperture.radius ** 2
     inv_sq = cfg.spreading is Spreading.INVERSE_SQUARE
@@ -134,6 +152,9 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
 
     rays = np.broadcast_arrays(
         *(np.asarray(a, float) for a in (ox, oy, dx, dy)))
+    # one origin shared by every ray stays a pair of scalars through step 0
+    origin = ((float(ox), float(oy)) if np.ndim(ox) == np.ndim(oy) == 0
+              else None)
     gains: list[float] = []  # inverse-square only
 
     captured = escaped = terminated = 0
@@ -142,7 +163,8 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
         rising = block[3] > 0.0
         # split once by heading: each group meets one surface per step
         for up, group in ((True, rising), (False, ~rising)):
-            ox, oy, dx, dy = (a[group] for a in block)
+            dx, dy = block[2][group], block[3][group]
+            ox, oy = origin or (block[0][group], block[1][group])
             if inv_sq:
                 cum_len = np.zeros(len(dx))
             # every live ray has made exactly `step` surface bounces so far
@@ -152,54 +174,68 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                     break
                 # two candidate surfaces: the ceiling or floor ahead and the
                 # wall ahead; a ray parallel to one, or on it, gets inf for it
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_v = ((ceil_y if up else floor_y) - oy) / dy
-                    t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
-                t_v = np.where(t_v > FORWARD_EPS, t_v, np.inf)
+                t_v = ((ceil_y if up else floor_y) - oy) / dy
+                if step == 0:
+                    t_v = np.where(t_v > FORWARD_EPS, t_v, np.inf)
+                t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
                 t_w = np.where(t_w > FORWARD_EPS, t_w, np.inf)
-                t_surf = np.minimum(t_v, t_w)
 
-                # aperture capture on this segment, before the surface
+                # aperture capture on this segment, before the surface; the
+                # disc test goes first, as nearly every ray fails it
                 mx = rx.x - ox
                 my = rx.y - oy
                 s = mx * dx + my * dy
-                h2 = np.maximum(mx * mx + my * my - s * s, 0.0)
-                cap = (s > FORWARD_EPS) & (h2 <= r2) & (s < t_surf)
-                if cfg.rx_cone_gate:
-                    cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
-                n_cap = int(np.count_nonzero(cap))
-                if inv_sq:
-                    s_entry = s[cap] - np.sqrt(np.maximum(r2 - h2[cap], 0.0))
-                    gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
-                else:
+                h2 = mx * mx + my * my - s * s
+                cap = h2 <= r2
+                n_cap = 0
+                if cap.any():
+                    cap &= (s > FORWARD_EPS) & (s < np.minimum(t_v, t_w))
+                    if cfg.rx_cone_gate:
+                        cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
+                    n_cap = int(np.count_nonzero(cap))
+                if not inv_sq:
                     captured += n_cap
+                elif n_cap:
+                    # 0 <= h2_cap <= r2, so the root is real
+                    h2_cap = np.maximum(h2[cap], 0.0)
+                    s_entry = s[cap] - np.sqrt(r2 - h2_cap)
+                    gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
 
                 # the rest escape through an open end if the wall is strictly
                 # nearer, hit the ceiling or floor if that is finite, and are
-                # otherwise stuck (not for unit directions) and absorbed
-                free = ~cap
-                wall = t_w < t_v
-                n_out = int(np.count_nonzero(free & wall))
-                live = free & ~wall & (t_v < np.inf)
-                n_live = int(np.count_nonzero(live))
+                # otherwise stuck (not for unit directions) and absorbed; t_v
+                # is inf only where step 0's filter put it or span / |dy|
+                # overflowed, so only then is a stuck mask built
+                gone = t_w < t_v
+                if n_cap:
+                    gone |= cap
+                n_out = int(np.count_nonzero(gone)) - n_cap
                 escaped += n_out
-                terminated += n - n_cap - n_out - n_live
+                n_live = n - n_cap - n_out
+                if t_v.max() == np.inf:
+                    gone |= t_v == np.inf
+                    n_stuck = int(np.count_nonzero(gone)) - (n - n_live)
+                    terminated += n_stuck
+                    n_live -= n_stuck
                 if step == cfg.max_bounces:
                     # bounce budget spent: absorb every ray still in flight
                     terminated += n_live
                     break
 
-                # compact to the survivors, then advance them to the surface
-                keep = np.flatnonzero(live)
-                t = t_surf[keep]
-                dx, dy = dx[keep], dy[keep]
-                ox = ox[keep] + t * dx
+                # advance to the surface (t_v: a live ray's wall is no nearer),
+                # then compact to the survivors unless every ray lives on;
+                # advancing first serves a scalar origin and an array alike
+                ox = ox + t_v * dx
                 if inv_sq:
-                    cum_len = cum_len[keep] + t
+                    cum_len = cum_len + t_v
+                if n_live < n:
+                    keep = np.flatnonzero(~gone)
+                    ox, dx, dy = ox[keep], dx[keep], dy[keep]
+                    if inv_sq:
+                        cum_len = cum_len[keep]
                 if up:
                     idx = panel.index_at(ox)
-                    nx = normals[idx, 0]
-                    ny = normals[idx, 1]
+                    nx, ny = normal_x[idx], normal_y[idx]
                     k = 2.0 * (dx * nx + dy * ny)
                     dx, dy = dx - k * nx, dy - k * ny
                     norm = np.hypot(dx, dy)
@@ -310,6 +346,7 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     rays per fate, so each total is that share times one count (or, under
     inverse-square spreading, one exact sum of gains).
     """
+    _require_power(total_power)
     dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, cfg.n_rays)
     per_ray = total_power * scene.tx.gain / cfg.n_rays
     origin = scene.tx_origin(dislocation)
@@ -331,6 +368,7 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     """
     if quad_points < 10:
         raise ValueError(f"quad_points must be >= 10, got {quad_points}")
+    _require_power(total_power)
     tx = scene.tx
     if abs(tx.boresight.x) > 1e-12 or tx.boresight.y <= 0.0:
         raise ValueError("quadrature assumes an upward-pointing transmitter")

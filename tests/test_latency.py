@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pwesim.latency import (LatencyBudget, MobilityModel, dislocation,
@@ -25,6 +27,12 @@ class TestLatencyBudget:
             with pytest.raises(ValueError):
                 LatencyBudget(**{field: -1e-9})
 
+    def test_nan_stage_rejected(self):
+        for field in ("sensing", "report_network", "queueing", "processing",
+                      "config_network", "actuation"):
+            with pytest.raises(ValueError):
+                LatencyBudget(**{field: math.nan})
+
 
 class TestDislocation:
     def test_walking_speed_product(self):
@@ -48,3 +56,11 @@ class TestDislocation:
             MobilityModel(speed=-0.1)
         with pytest.raises(ValueError):
             dislocation(MobilityModel(speed=1.0), -0.01)
+
+    def test_nan_speed_rejected(self):
+        with pytest.raises(ValueError):
+            MobilityModel(speed=math.nan)
+
+    def test_nan_latency_rejected(self):
+        with pytest.raises(ValueError):
+            dislocation(MobilityModel(speed=1.0), math.nan)

@@ -120,6 +120,18 @@ class TestHsfPanel:
         with pytest.raises(ValueError):
             arr[0, 0] = 5.0
 
+    def test_normals_held_once_as_columns(self):
+        # one copy of the input, as contiguous x and y columns; the (N, 2)
+        # view and its transpose both read that copy
+        normals = np.tile([0.0, -1.0], (2, 1))
+        panel = HsfPanel(3.0, 0.0, 1.0, 0.5, normals)
+        normals[0] = (1.0, 0.0)
+        cols = panel.normals_array().T
+        assert cols.shape == (2, 2) and cols.flags.c_contiguous
+        assert not cols.flags.writeable
+        assert cols.tolist() == [[0.0, 0.0], [-1.0, -1.0]]
+        assert np.shares_memory(panel.normals_array(), cols)
+
 
 class TestSceneValidation:
     def test_user_height_must_be_inside(self, scene):
@@ -148,6 +160,14 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="between the floor and the"):
             build(0.08)
         assert build(0.04).rx_aperture.radius == 0.04
+
+    def test_ceiling_must_clear_floor(self, scene):
+        # the tracer rests on a floor-to-ceiling leg longer than FORWARD_EPS
+        with pytest.raises(ValueError, match="FORWARD_EPS"):
+            Scene(ceiling=scene.ceiling, floor_y=3.0 - 1e-10,
+                  corridor_x_min=-1.0, corridor_x_max=4.0, tx=scene.tx,
+                  rx=scene.rx, rx_aperture=scene.rx_aperture,
+                  user_height=1.0, ceiling_height=3.0)
 
     def test_aperture_must_not_contain_transmitter(self, scene):
         # a disc around the transmitter captured rays at a negative entry
@@ -236,4 +256,9 @@ class TestFan:
     def test_ray_fan_rejects_negative_power(self, scene):
         with pytest.raises(ValueError):
             tx_ray_fan(scene, 0.0, 5, total_power=-1.0)
+
+    @pytest.mark.parametrize("power", (math.nan, math.inf))
+    def test_ray_fan_rejects_non_finite_power(self, scene, power):
+        with pytest.raises(ValueError, match="total_power must be finite"):
+            tx_ray_fan(scene, 0.0, 5, total_power=power)
 

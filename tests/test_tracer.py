@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from image_source import image_source_counts
 
 from pwesim.experiment import ExperimentConfig
 from pwesim.geometry import Circle, Ray, Vec2
@@ -168,6 +170,12 @@ class TestReceivedPower:
         # every capture path is longer than 1 m here
         assert 0.0 < inv.captured_power < geo.captured_power
 
+    @pytest.mark.parametrize("power", (-1.0, math.nan, math.inf))
+    def test_bad_power_rejected(self, scene, power):
+        with pytest.raises(ValueError, match="total_power must be finite"):
+            received_power(scene, scene.ceiling, 0.0,
+                           TracerConfig(n_rays=11), total_power=power)
+
     def test_wider_aperture_captures_more(self):
         small = ExperimentConfig(aperture=0.05).scene()
         large = ExperimentConfig(aperture=0.10).scene()
@@ -231,6 +239,12 @@ class TestQuadratureOracle:
     def test_quad_points_floor(self, scene, static_panel):
         with pytest.raises(ValueError):
             analytic_received_power(scene, static_panel, 0.0, 9)
+
+    @pytest.mark.parametrize("power", (-1.0, math.nan, math.inf))
+    def test_bad_power_rejected(self, scene, static_panel, power):
+        with pytest.raises(ValueError, match="total_power must be finite"):
+            analytic_received_power(scene, static_panel, 0.0, 100,
+                                    total_power=power)
 
     def test_requires_upward_transmitter(self, scene, static_panel):
         sideways = Antenna(Vec2(0.0, 1.0), Vec2(1.0, 0.0),
@@ -448,6 +462,32 @@ class TestKernelContract:
         assert _trace_batch(scene, scene.ceiling, 3.0, 2.0, [s], [s],
                             cfg) == (0, 0, 1)
 
+    @pytest.mark.parametrize("kind", ("static", "unbiased", "mirror"))
+    def test_shared_origin_matches_per_ray_origins(self, scene, static_panel,
+                                                   unbiased_panel, kind):
+        """A scalar origin, kept scalar through step 0, gives exactly what
+        the same origin repeated per ray gives; the last block is partial."""
+        panel = {"static": static_panel, "unbiased": unbiased_panel,
+                 "mirror": scene.ceiling}[kind]
+        n = 2 * _BLOCK + 1
+        dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, n)
+        inv_sq = TracerConfig(spreading=Spreading.INVERSE_SQUARE)
+        cfgs = (TracerConfig(), inv_sq,
+                replace(inv_sq, rx_cone_gate=True, max_bounces=3))
+        for d in (0.0, 0.07, 0.25, 0.5):
+            o = scene.tx_origin(d)
+            for cfg in cfgs:
+                shared = _trace_batch(scene, panel, o.x, o.y, dx, dy, cfg)
+                per_ray = _trace_batch(scene, panel, np.full(n, o.x),
+                                       np.full(n, o.y), dx, dy, cfg)
+                assert repr(shared) == repr(per_ray)
+
+    def test_panel_must_sit_at_ceiling_height(self, scene):
+        # the kernel's floor-to-ceiling leg is the scene's checked span
+        low = mirror_panel(2.5, -1.0, 4.0, 0.001)
+        with pytest.raises(ValueError, match="ceiling height"):
+            _trace_batch(scene, low, 0.0, 1.0, [0.0], [1.0], TracerConfig())
+
     def test_cached_fan_is_read_only(self, scene):
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, 101)
         dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth,
@@ -460,3 +500,48 @@ class TestKernelContract:
                 a[0] = 0.0
         assert _fan(scene.tx.boresight, scene.tx.beam_halfwidth, 101)[0] \
             is dx
+
+
+class TestImageSourceOracle:
+    """On an all-mirror corridor every fate has a closed form: the image
+    method's counts equal the kernel's exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           d=st.floats(0.0, 0.5),
+           max_bounces=st.integers(1, 39))
+    def test_random_mirror_corridors(self, seed, d, max_bounces):
+        scn = random_scene(np.random.default_rng(seed))
+        ceil = scn.ceiling
+        panel = mirror_panel(ceil.y_height, ceil.x_start, ceil.x_end,
+                             ceil.subunit_length)
+        o = scn.tx_origin(d)
+        dirs = fan_directions(scn.tx.boresight, scn.tx.beam_halfwidth, 2001)
+        cfg = TracerConfig(n_rays=2001, max_bounces=max_bounces)
+        got = _trace_batch(scn, panel, o.x, o.y, dirs[:, 0], dirs[:, 1], cfg)
+        assert got == image_source_counts(scn, o.x, o.y, dirs[:, 0],
+                                          dirs[:, 1], max_bounces)
+
+    @pytest.mark.parametrize("d", (0.0, 0.1, 0.3, 0.5))
+    def test_default_corridor(self, scene, d):
+        """The default fan, plus two rays that meet the ceiling exactly in
+        a corner and so reflect there instead of escaping."""
+        cfg = TracerConfig()
+        o = scene.tx_origin(d)
+        dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth,
+                      cfg.n_rays)
+        c = math.sqrt(0.5)
+        ox = np.concatenate((np.full(cfg.n_rays, o.x), (3.0, 0.0)))
+        oy = np.concatenate((np.full(cfg.n_rays, o.y), (2.0, 2.0)))
+        dx = np.concatenate((dx, (c, -c)))
+        dy = np.concatenate((dy, (c, c)))
+        want = image_source_counts(scene, ox, oy, dx, dy, cfg.max_bounces)
+        assert _trace_batch(scene, scene.ceiling, ox, oy, dx, dy,
+                            cfg) == want
+        # the kernel's default sweep takes the fan from one shared origin
+        head = image_source_counts(scene, o.x, o.y, dx[:-2], dy[:-2],
+                                   cfg.max_bounces)
+        assert _trace_batch(scene, scene.ceiling, o.x, o.y, dx[:-2],
+                            dy[:-2], cfg) == head
+        assert head[0] > 0 and head[1] > 0 and head[2] > 0
+        assert want[2] == head[2] + 2  # the corner rays are absorbed
