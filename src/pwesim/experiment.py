@@ -251,11 +251,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.sweep_stop >= x_max:
         err("sweep.stop", "must keep the transmitter inside the corridor,"
             " below scene.L - scene.offset")
-    # nearest swept transmitter position to the aperture center
+    # nearest swept transmitter position to the aperture center, and the
+    # undisplaced one, which the scene checks too
     near_x = min(max(cfg.rx_x, cfg.sweep_start), cfg.sweep_stop)
-    if math.hypot(cfg.rx_x - near_x, cfg.rx_y_rel) <= cfg.aperture:
+    if min(math.hypot(cfg.rx_x - x, cfg.rx_y_rel)
+           for x in (0.0, near_x)) <= cfg.aperture:
         err("scene.aperture", "the receive aperture must not contain the"
-            " transmitter at any sweep dislocation")
+            " transmitter at dislocation 0 or at any sweep dislocation")
     if not cfg.output_csv:
         err("output.csv", "must not be empty")
 

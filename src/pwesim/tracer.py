@@ -6,11 +6,15 @@ aperture, escape through an open corridor end, or exhaust the bounce
 budget. Capture is tested on every straight segment before the next
 surface hit, so a ray cannot fly through the aperture unnoticed.
 
-`received_power` runs the whole fan through one vectorized kernel that
-counts rays per fate, walking the fan in fixed blocks of rays, each split
-once by heading so that a group meets one surface per step; every
-operation is per ray and the only sums are integer counts and one exact
-`math.fsum`, so results do not depend on the block size. The fan's shared
+`received_power` counts the fan's rays per fate with one vectorized
+kernel, which walks its rays in fixed blocks, each split once by heading
+so that a group meets one surface per step; every operation is per ray
+and the only sums are integer counts and one exact `math.fsum`, so
+results do not depend on the block size. On a plain mirror ceiling under
+geometric spreading the fan has a closed form (the image method), and the
+kernel traces only the rays near the launch angles where a fate can
+change, plus one ray for each run of rays between them, which counts for
+the whole run; any other fan is traced ray by ray. The fan's shared
 origin stays scalar through the first step, a step at which every ray
 lives on is not compacted, and after the first step the distance to the
 ceiling or floor needs no forward filter, since a ray then leaves the
@@ -112,12 +116,23 @@ class TraceOutcome:
         return self.captured_power + self.escaped_power + self.terminated_power
 
 
+def _require_ceiling(scene: Scene, panel: HsfPanel) -> None:
+    if panel.y_height != scene.ceiling_height:
+        raise ValueError("panel must sit at the scene's ceiling height")
+
+
+def _count(mask, w) -> int:
+    """Rays in `mask`, each counted `w` times when a multiplicity is given."""
+    return int(np.count_nonzero(mask)) if w is None else int(np.dot(w, mask))
+
+
 # A ray parallel to a surface, or on it, gets an inf or nan distance to it,
 # and a dropped ray may advance to nan; the kernel filters or drops every
 # such value before it can decide a fate.
 @np.errstate(divide="ignore", invalid="ignore")
 def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
-                 cfg: TracerConfig) -> tuple[float, int, int]:
+                 cfg: TracerConfig,
+                 multiplicity=None) -> tuple[float, int, int]:
     """Trace unbounced rays; returns (captured, escaped, terminated) counts.
 
     The origin may be one point shared by every ray. Under inverse-square
@@ -137,9 +152,15 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     must sit at the scene's ceiling height, and a reflection keeps
     |dy| <= 1): it needs no forward filter. Directions must be unit
     vectors.
+
+    `multiplicity`, if given, is a positive integer per ray: each ray then
+    counts as that many rays of its fate, so that one traced ray can stand
+    for a run of fan rays that share it. It rides through compaction with
+    its ray. Geometric spreading only.
     """
-    if panel.y_height != scene.ceiling_height:
-        raise ValueError("panel must sit at the scene's ceiling height")
+    _require_ceiling(scene, panel)
+    if multiplicity is not None and cfg.spreading is not Spreading.GEOMETRIC:
+        raise ValueError("a ray multiplicity needs geometric spreading")
     ceil_y, floor_y = panel.y_height, scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normal_x, normal_y = panel.normals_array().T  # contiguous columns
@@ -156,6 +177,8 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     origin = ((float(ox), float(oy)) if np.ndim(ox) == np.ndim(oy) == 0
               else None)
     gains: list[float] = []  # inverse-square only
+    # float64 counts exactly to 2^53 and sums a masked share fastest
+    mult = None if multiplicity is None else np.asarray(multiplicity, float)
 
     captured = escaped = terminated = 0
     for lo in range(0, len(rays[0]), _BLOCK):
@@ -165,11 +188,12 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
         for up, group in ((True, rising), (False, ~rising)):
             dx, dy = block[2][group], block[3][group]
             ox, oy = origin or (block[0][group], block[1][group])
+            w = None if mult is None else mult[lo:lo + _BLOCK][group]
+            n = len(dx) if w is None else int(w.sum())
             if inv_sq:
                 cum_len = np.zeros(len(dx))
             # every live ray has made exactly `step` surface bounces so far
             for step in range(cfg.max_bounces + 1):
-                n = len(dx)
                 if n == 0:
                     break
                 # two candidate surfaces: the ceiling or floor ahead and the
@@ -192,7 +216,7 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                     cap &= (s > FORWARD_EPS) & (s < np.minimum(t_v, t_w))
                     if cfg.rx_cone_gate:
                         cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
-                    n_cap = int(np.count_nonzero(cap))
+                    n_cap = _count(cap, w)
                 if not inv_sq:
                     captured += n_cap
                 elif n_cap:
@@ -209,12 +233,12 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                 gone = t_w < t_v
                 if n_cap:
                     gone |= cap
-                n_out = int(np.count_nonzero(gone)) - n_cap
+                n_out = _count(gone, w) - n_cap
                 escaped += n_out
                 n_live = n - n_cap - n_out
                 if t_v.max() == np.inf:
                     gone |= t_v == np.inf
-                    n_stuck = int(np.count_nonzero(gone)) - (n - n_live)
+                    n_stuck = _count(gone, w) - (n - n_live)
                     terminated += n_stuck
                     n_live -= n_stuck
                 if step == cfg.max_bounces:
@@ -231,6 +255,8 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                 if n_live < n:
                     keep = np.flatnonzero(~gone)
                     ox, dx, dy = ox[keep], dx[keep], dy[keep]
+                    if w is not None:
+                        w = w[keep]
                     if inv_sq:
                         cum_len = cum_len[keep]
                 if up:
@@ -243,16 +269,20 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                     # a virtual normal may send the ray back out through the
                     # panel, which cannot transmit: absorb it
                     down = dy < 0.0
-                    n_down = int(np.count_nonzero(down))
-                    if n_down < n_live:
+                    if not down.all():
+                        n_down = _count(down, w)
                         terminated += n_live - n_down
+                        n_live = n_down
                         ox, dx, dy = ox[down], dx[down], dy[down]
+                        if w is not None:
+                            w = w[down]
                         if inv_sq:
                             cum_len = cum_len[down]
                     oy, up = ceil_y, False
                 else:
                     dy = -dy  # the floor is a plain mirror
                     oy, up = floor_y, True
+                n = n_live
 
     if inv_sq:
         captured = math.fsum(gains)
@@ -267,6 +297,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
     capture test, reflection and spreading, one ray at a time in plain
     floats, so a ray's fate and delivered power match the kernel exactly.
     """
+    _require_ceiling(scene, panel)
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normals = panel.normals_array()
     rx = scene.rx_aperture.center
@@ -338,20 +369,122 @@ def _fan(boresight: Vec2, beam_halfwidth: float,
     return parts
 
 
+def _event_rays(scene: Scene, origin: Vec2,
+                cfg: TracerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fan indices whose fates settle a mirror-corridor fan, and how many
+    fan rays each one stands for.
+
+    On a plain mirror ceiling every upward ray unfolds into a straight line
+    from the origin through a stack of corridor images (Allen & Berkley,
+    JASA 65(4), 1979): segment k, after k bounces, spans the unfolded
+    heights [kS, (k+1)S] above the floor, and the aperture's image in it is
+    the disc centred at c_k = (c.x, kS + b) for even k and
+    (c.x, (k+1)S - b) for odd k. Segment k is captured if its line passes
+    within r of c_k (h2 <= r2), the foot of the perpendicular from c_k lies
+    before the wall (s < t_w) and, with the gate on, its direction lies in
+    the receive cone; it escapes if the ray meets a wall inside band k.
+    In exact arithmetic a fate can therefore change only at these launch
+    angles, the events, for k = 0..max_bounces: the two tangents to disc
+    k; the angles at which that foot sits on a wall; the corner angles, at
+    which the ray meets a wall on a band edge; and, with the gate on, the
+    four angles at which (dx, dy) or (dx, -dy) meets the edge of the cone.
+
+    The capture test's other bounds never flip a fate. Where h2 <= r2 the
+    foot lies in disc k, which the scene keeps strictly inside band k, so
+    s < t_v holds; and since the scene keeps the origin outside the
+    aperture, s can change sign only where h2 = |c_k - o|^2 > r2. Nor does
+    pi/2: it decides which wall a ray heads for, but between the two
+    outermost corners no ray reaches a wall within the budget.
+
+    Every fan ray within two indices of an event is returned with
+    multiplicity 1. Between those windows lie runs of rays that no event
+    separates, far from any event in float terms too, so each run is
+    returned as one ray standing for the whole run.
+    """
+    n = cfg.n_rays
+    span = scene.ceiling_height - scene.floor_y
+    h = origin.y - scene.floor_y
+    c = scene.rx_aperture.center
+    b = c.y - scene.floor_y
+    ks = np.arange(cfg.max_bounces + 1) * span
+    # centre of each aperture image relative to the origin, unfolded
+    cx = c.x - origin.x
+    cy = ks + (b - h)
+    cy[1::2] += span - 2.0 * b
+    rho = np.hypot(cx, cy)
+    phi = np.arctan2(cy, cx)
+    tangent = np.arcsin(np.minimum(scene.rx_aperture.radius / rho, 1.0))
+    walls = np.array([[scene.corridor_x_min - origin.x],
+                      [scene.corridor_x_max - origin.x]])
+    with np.errstate(invalid="ignore"):
+        # the foot sits at x_wall where (rho/2) cos(2 theta - phi) equals
+        # W - cx/2; where there is no root, arccos gives nan, and a nan
+        # event matches no fan index; the roots repeat every pi
+        wall_foot = np.arccos((2.0 * walls - cx) / rho)
+    wall_foot = np.mod((phi + np.concatenate((wall_foot, -wall_foot))) / 2.0,
+                       np.pi)
+    events = [phi + tangent, phi - tangent,
+              np.arctan2(ks + (span - h), walls)]
+    if cfg.rx_cone_gate:
+        rx = scene.rx
+        beta = math.atan2(rx.boresight.y, rx.boresight.x)
+        # -(dx, dy) and -(dx, -dy) at the cone edge, beta +- halfwidth
+        events.append([beta - np.pi - rx.beam_halfwidth,
+                       beta - np.pi + rx.beam_halfwidth,
+                       np.pi - beta - rx.beam_halfwidth,
+                       np.pi - beta + rx.beam_halfwidth])
+    events = np.concatenate((np.mod(np.concatenate(events, axis=None),
+                                    2.0 * np.pi), wall_foot.ravel()))
+
+    tx = scene.tx
+    first = math.atan2(tx.boresight.y, tx.boresight.x) - tx.beam_halfwidth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pos = (events - first) / (2.0 * tx.beam_halfwidth / (n - 1))
+    # every ray within two fan steps of an event; out-of-fan and nan
+    # positions become windows past either end
+    pos = np.floor(np.fmin(np.fmax(pos, -9.0), n + 8.0)).astype(np.int64)
+    traced = np.sort((pos[:, None] + np.arange(-1, 3)).ravel())
+    traced = traced[(traced >= 0) & (traced < n)
+                    & np.concatenate(([True], traced[1:] != traced[:-1]))]
+    # one ray for each run of untraced rays between the windows
+    edges = np.concatenate(([-1], traced, [n]))
+    gaps = np.diff(edges) - 1
+    runs = np.flatnonzero(gaps)
+    index = np.concatenate((traced, edges[runs] + 1 + gaps[runs] // 2))
+    weight = np.concatenate((np.ones(len(traced), np.int64), gaps[runs]))
+    return index, weight
+
+
 def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
                    cfg: TracerConfig, total_power: float = 1.0) -> TraceOutcome:
-    """Trace the full transmit fan at the given dislocation.
+    """Ray counts per fate of the transmit fan at the given dislocation.
 
     Every ray carries total_power * tx.gain / n_rays; the kernel counts
     rays per fate, so each total is that share times one count (or, under
     inverse-square spreading, one exact sum of gains).
+
+    On a plain mirror ceiling (every normal (0, -1)) under geometric
+    spreading, with every fan ray heading up, the kernel traces only the
+    rays `_event_rays` picks, each counting for the run of fan rays it
+    stands for; the counts are those of the whole fan. Any other fan is
+    traced ray by ray.
     """
     _require_power(total_power)
     dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, cfg.n_rays)
     per_ray = total_power * scene.tx.gain / cfg.n_rays
     origin = scene.tx_origin(dislocation)
-    captured, escaped, terminated = _trace_batch(
-        scene, panel, origin.x, origin.y, dx, dy, cfg)
+    normal_x, normal_y = panel.normals_array().T
+    # a steered panel nearly always fails on its first normal, for free
+    if (cfg.spreading is Spreading.GEOMETRIC and normal_x[0] == 0.0
+            and np.all(normal_x == 0.0) and np.all(normal_y == -1.0)
+            and dy.min() > 0.0):
+        index, weight = _event_rays(scene, origin, cfg)
+        captured, escaped, terminated = _trace_batch(
+            scene, panel, origin.x, origin.y, dx[index], dy[index], cfg,
+            weight)
+    else:
+        captured, escaped, terminated = _trace_batch(
+            scene, panel, origin.x, origin.y, dx, dy, cfg)
     return TraceOutcome(per_ray * captured, per_ray * escaped,
                         per_ray * terminated)
 
@@ -368,6 +501,7 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     """
     if quad_points < 10:
         raise ValueError(f"quad_points must be >= 10, got {quad_points}")
+    _require_ceiling(scene, panel)
     _require_power(total_power)
     tx = scene.tx
     if abs(tx.boresight.x) > 1e-12 or tx.boresight.y <= 0.0:

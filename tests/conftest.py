@@ -1,8 +1,15 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from pwesim.experiment import ExperimentConfig, run_sweep
+
+# Tier-1 draws the same examples on every machine and every run: the draws
+# are derived from each test, and no failure database replays old ones.
+# `--hypothesis-profile=default` draws afresh.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 _VERDICTS: list[str] = []
 

@@ -345,6 +345,17 @@ class TestCli:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_aperture_at_zero_dislocation_exits_2(self, capsys, tmp_path):
+        # the sweep starts clear of the disc at (0.05, 1.05), but the scene
+        # also places the transmitter at d = 0, inside it
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("scene.rx_x = 0.05\nscene.rx_y_rel = 0.05\n"
+                       "sweep.start = 0.2\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert "config error: scene.aperture: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_dx_outside_corridor_exits_2(self, capsys, tmp_path):
         out = tmp_path / "paths.csv"
         args = ["trace", "--scheme", "baseline", "--paths", str(out),

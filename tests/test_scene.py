@@ -142,6 +142,14 @@ class TestSceneValidation:
                   rx=scene.rx, rx_aperture=scene.rx_aperture,
                   user_height=3.5, ceiling_height=3.0)
 
+    def test_user_height_must_clear_the_floor(self, scene):
+        # a transmitter below a raised floor, though above y = 0
+        with pytest.raises(ValueError, match="user_height"):
+            Scene(ceiling=scene.ceiling, floor_y=1.5, corridor_x_min=-1.0,
+                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
+                  rx_aperture=scene.rx_aperture,
+                  user_height=1.0, ceiling_height=3.0)
+
     def test_aperture_must_be_inside(self, scene):
         with pytest.raises(ValueError):
             Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from image_source import image_source_counts
 
-from pwesim.experiment import ExperimentConfig
+from pwesim.experiment import ExperimentConfig, dbm_to_watts
 from pwesim.geometry import Circle, Ray, Vec2
 from pwesim.scene import (Antenna, HsfPanel, Scene, fan_directions,
                           mirror_panel, tx_ray_fan)
@@ -483,10 +483,18 @@ class TestKernelContract:
                 assert repr(shared) == repr(per_ray)
 
     def test_panel_must_sit_at_ceiling_height(self, scene):
-        # the kernel's floor-to-ceiling leg is the scene's checked span
+        # the kernel's floor-to-ceiling leg is the scene's checked span; the
+        # scalar reference and the quadrature reject what it rejects
         low = mirror_panel(2.5, -1.0, 4.0, 0.001)
+        cfg = TracerConfig()
         with pytest.raises(ValueError, match="ceiling height"):
-            _trace_batch(scene, low, 0.0, 1.0, [0.0], [1.0], TracerConfig())
+            _trace_batch(scene, low, 0.0, 1.0, [0.0], [1.0], cfg)
+        with pytest.raises(ValueError, match="ceiling height"):
+            received_power(scene, low, 0.0, cfg)
+        with pytest.raises(ValueError, match="ceiling height"):
+            trace_ray(scene, low, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg)
+        with pytest.raises(ValueError, match="ceiling height"):
+            analytic_received_power(scene, low, 0.0, 1000)
 
     def test_cached_fan_is_read_only(self, scene):
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, 101)
@@ -522,6 +530,22 @@ class TestImageSourceOracle:
         assert got == image_source_counts(scn, o.x, o.y, dirs[:, 0],
                                           dirs[:, 1], max_bounces)
 
+    def test_default_sweep_baseline_rows(self, default_sweep):
+        """Every baseline row of the default sweep is the image method's
+        count times one ray's share of the emitted power."""
+        cfg = ExperimentConfig()
+        scn = cfg.scene()
+        per_ray = dbm_to_watts(cfg.tx_power_dbm) * scn.tx.gain / cfg.n_rays
+        dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, cfg.n_rays)
+        rows = [r for r in default_sweep.rows if r.scheme == "baseline"]
+        assert len(rows) == len(cfg.sweep_points()) == 51
+        for row in rows:
+            o = scn.tx_origin(row.d_x)
+            counts = image_source_counts(scn, o.x, o.y, dx, dy,
+                                         cfg.max_bounces)
+            assert (row.captured_w, row.escaped_w, row.terminated_w) == \
+                tuple(per_ray * c for c in counts), row
+
     @pytest.mark.parametrize("d", (0.0, 0.1, 0.3, 0.5))
     def test_default_corridor(self, scene, d):
         """The default fan, plus two rays that meet the ceiling exactly in
@@ -545,3 +569,89 @@ class TestImageSourceOracle:
                             dy[:-2], cfg) == head
         assert head[0] > 0 and head[1] > 0 and head[2] > 0
         assert want[2] == head[2] + 2  # the corner rays are absorbed
+
+
+def random_mirror_corridor(rng: np.random.Generator,
+                           max_bounces: int) -> Scene:
+    """All-mirror corridor of random size, with the floor at a random
+    height, the receive disc anywhere inside it (sometimes reaching through
+    an open end) and a tilted receiver; the transmit fan points up. Half
+    the time an edge of the receive cone crosses an aperture image in the
+    fan, so that the gate splits the rays that reach that image."""
+    height = rng.uniform(2.0, 5.0)
+    floor_y = float(rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+    ceiling = floor_y + height
+    x_min = -rng.uniform(0.5, 6.0)
+    x_max = x_min + rng.uniform(3.0, 12.0)
+    radius = rng.uniform(0.01, 0.2)
+    if rng.random() < 0.3:
+        # the disc reaches through an open end
+        rx_x = float(rng.choice((x_min, x_max))) \
+            + rng.uniform(-0.9, 0.9) * radius
+    else:
+        rx_x = rng.uniform(x_min, x_max)
+    rx_x = min(max(rx_x, x_min + 1e-3), x_max - 1e-3)
+    rx_y = rng.uniform(floor_y + radius + 1e-3, ceiling - radius - 1e-3)
+    while True:
+        tx_x = rng.uniform(x_min + 1e-3, x_max - 1e-3)
+        user_h = rng.uniform(floor_y + 0.05, ceiling - 0.05)
+        if math.hypot(tx_x - rx_x, user_h - rx_y) > radius:
+            break
+    tx_half = math.radians(rng.uniform(2.5, 60.0))
+    tx_tilt = rng.uniform(-1.0, 1.0) * (math.pi / 2 - tx_half - 1e-3)
+    rx_half = math.radians(rng.uniform(10.0, 90.0))
+    rx_dir = math.radians(rng.uniform(0.0, 180.0))
+    # launch angle of the ray through each aperture image, unfolded
+    k = np.arange(max_bounces + 1)
+    image_y = np.where(k % 2 == 0, k * height + rx_y - floor_y,
+                       (k + 1) * height - rx_y + floor_y) + floor_y
+    aim = np.arctan2(image_y - user_h, rx_x - tx_x)
+    aim_k = np.flatnonzero(abs(aim - (math.pi / 2 + tx_tilt)) < tx_half)
+    if len(aim_k) and rng.random() < 0.5:
+        j = rng.choice(aim_k)
+        # -(dx, dy) on an up segment, -(dx, -dy) on a down one
+        edge = aim[j] + math.pi if j % 2 == 0 else math.pi - aim[j]
+        rx_dir = edge + rng.choice((-rx_half, rx_half))
+    rx = Antenna(Vec2(rx_x, rx_y), Vec2(math.cos(rx_dir), math.sin(rx_dir)),
+                 rx_half)
+    return Scene(ceiling=mirror_panel(ceiling, x_min, x_max, 0.01),
+                 floor_y=floor_y, corridor_x_min=x_min, corridor_x_max=x_max,
+                 tx=Antenna(Vec2(tx_x, user_h),
+                            Vec2(-math.sin(tx_tilt), math.cos(tx_tilt)),
+                            tx_half),
+                 rx=rx, rx_aperture=Circle(rx.position, radius),
+                 user_height=user_h, ceiling_height=ceiling)
+
+
+class TestMirrorEvents:
+    """On a mirror corridor `received_power` traces only the rays around
+    the fan's events; its counts are exactly those of the whole fan traced
+    ray by ray, and those of the image method."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           max_bounces=st.integers(1, 20),
+           cone=st.booleans(),
+           n_rays=st.sampled_from((2001, 20001)))
+    def test_random_mirror_corridors(self, seed, max_bounces, cone, n_rays):
+        scn = random_mirror_corridor(np.random.default_rng(seed), max_bounces)
+        cfg = TracerConfig(n_rays=n_rays, max_bounces=max_bounces,
+                           rx_cone_gate=cone)
+        batches = []
+
+        def spy(*args):
+            batches.append(len(args[4]))
+            return _trace_batch(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr("pwesim.tracer._trace_batch", spy)
+            # every ray carries n_rays / n_rays = 1 W, so powers are counts
+            out = received_power(scn, scn.ceiling, 0.0, cfg, n_rays)
+        assert len(batches) == 1 and batches[0] < n_rays
+        got = (out.captured_power, out.escaped_power, out.terminated_power)
+        o = scn.tx.position
+        dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, n_rays)
+        dense = _trace_batch(scn, scn.ceiling, o.x, o.y, dx, dy, cfg)
+        assert got == dense
+        assert dense == image_source_counts(scn, o.x, o.y, dx, dy,
+                                            max_bounces, cone)
