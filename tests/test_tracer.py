@@ -482,6 +482,31 @@ class TestKernelContract:
                                        np.full(n, o.y), dx, dy, cfg)
                 assert repr(shared) == repr(per_ray)
 
+    @pytest.mark.parametrize("kind", ("unbiased", "random"))
+    def test_multiplicity_counts_like_repeated_rays(self, scene,
+                                                    unbiased_panel, kind):
+        """A ray of multiplicity m counts as m copies of itself, on a panel
+        that sends some rays back up and with rays heading every way."""
+        rng = np.random.default_rng(5)
+        if kind == "unbiased":
+            scn, panel = scene, unbiased_panel
+        else:
+            scn = random_scene(rng)
+            panel = scn.ceiling
+        n = 3 * _BLOCK // 2
+        o = scn.tx_origin(0.1)
+        angle = rng.uniform(-math.pi, math.pi, n)
+        dx, dy = np.cos(angle), np.sin(angle)
+        mult = rng.integers(1, 4, n)
+        cfg = TracerConfig(n_rays=2, max_bounces=6, rx_cone_gate=True)
+        got = _trace_batch(scn, panel, o.x, o.y, dx, dy, cfg, mult)
+        assert got == _trace_batch(scn, panel, o.x, o.y, np.repeat(dx, mult),
+                                   np.repeat(dy, mult), cfg)
+        assert got[2] > 0 and sum(got) == mult.sum()
+        inv_sq = replace(cfg, spreading=Spreading.INVERSE_SQUARE)
+        with pytest.raises(ValueError, match="multiplicity"):
+            _trace_batch(scn, panel, o.x, o.y, dx, dy, inv_sq, mult)
+
     def test_panel_must_sit_at_ceiling_height(self, scene):
         # the kernel's floor-to-ceiling leg is the scene's checked span; the
         # scalar reference and the quadrature reject what it rejects
