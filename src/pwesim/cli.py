@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from .experiment import (ConfigError, ExperimentConfig, _fmt, _scheme_curves,
+from .experiment import (ConfigError, ExperimentConfig, _fmt,
                          _scheme_schedules, dbm_to_watts, emit_csv,
                          load_config, run_sweep)
 from .latency import dislocation, total_latency
@@ -47,13 +47,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _select_curve(cfg: ExperimentConfig, scene, scheme: str, bias_p):
+    """The panel of one curve; only that curve's normals are built."""
     if scheme == "biased" and bias_p is not None:
         want = ("biased", bias_p)
     else:
         want = (scheme, None if scheme != "biased" else cfg.bias_p[0])
-    for label, p, panel in _scheme_curves(cfg, scene):
+    for label, p, schedule in _scheme_schedules(cfg, scene):
         if (label, p) == want:
-            return panel
+            return (scene.ceiling if schedule is None
+                    else materialize_normals(schedule, scene))
     raise ConfigError(
         f"steering.modes: scheme {scheme!r}"
         + (f" with p={bias_p}" if bias_p is not None else "")

@@ -47,8 +47,8 @@ class Vec2:
             raise ValueError("cannot normalize a zero vector")
         return Vec2(self.x / n, self.y / n)
 
-    def is_unit(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.norm - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm - 1.0) <= UNIT_TOL
 
 
 def _require_unit(v: Vec2, name: str) -> None:

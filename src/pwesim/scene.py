@@ -11,6 +11,7 @@ The reference corridor's dimensions are the defaults of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ class HsfPanel:
     into the corridor (negative y).
     """
 
-    __slots__ = ("y_height", "x_start", "x_end", "subunit_length", "_cols")
+    __slots__ = ("y_height", "x_start", "x_end", "subunit_length", "_cols",
+                 "_mirror")
 
     def __init__(self, y_height: float, x_start: float, x_end: float,
                  subunit_length: float, normals) -> None:
@@ -89,6 +91,10 @@ class HsfPanel:
         self.subunit_length = float(subunit_length)
         cols.flags.writeable = False
         self._cols = cols
+        # every normal (0, -1): the tracer counts such a ceiling from
+        # events; a steered panel fails on its first normal, for free
+        self._mirror = bool(cols[0, 0] == 0.0 and not cols[0].any()
+                            and (cols[1] == -1.0).all())
 
     @property
     def subunit_count(self) -> int:
@@ -112,15 +118,6 @@ class HsfPanel:
         # np.clip costs several times these two ufuncs on a kernel step
         i = np.minimum(np.maximum(i, 0), self.subunit_count - 1)
         return int(i) if i.ndim == 0 else i
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HsfPanel):
-            return NotImplemented
-        return (self.y_height == other.y_height
-                and self.x_start == other.x_start
-                and self.x_end == other.x_end
-                and self.subunit_length == other.subunit_length
-                and np.array_equal(self._cols, other._cols))
 
     def __repr__(self) -> str:
         return (f"HsfPanel(y={self.y_height}, x=[{self.x_start}, {self.x_end}], "
@@ -205,6 +202,24 @@ def fan_directions(boresight: Vec2, beam_halfwidth: float,
     base = math.atan2(boresight.y, boresight.x)
     ang = base + np.linspace(-beam_halfwidth, beam_halfwidth, n_rays)
     return np.column_stack((np.cos(ang), np.sin(ang)))
+
+
+@functools.lru_cache(maxsize=8)
+def _fan(boresight: Vec2, beam_halfwidth: float,
+         n_rays: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous, read-only x and y components of `fan_directions`."""
+    dirs = fan_directions(boresight, beam_halfwidth, n_rays)
+    parts = tuple(np.ascontiguousarray(dirs[:, i]) for i in (0, 1))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
+@functools.lru_cache(maxsize=8)
+def _fan_heads_up(boresight: Vec2, beam_halfwidth: float,
+                  n_rays: int) -> bool:
+    """Whether every ray of the cached `_fan` has dy > 0."""
+    return bool(_fan(boresight, beam_halfwidth, n_rays)[1].min() > 0.0)
 
 
 def _require_power(total_power: float) -> None:

@@ -10,17 +10,25 @@ surface hit, so a ray cannot fly through the aperture unnoticed.
 kernel, which walks its rays in fixed blocks, each split once by heading
 so that a group meets one surface per step; every operation is per ray
 and the only sums are integer counts and one exact `math.fsum`, so
-results do not depend on the block size. On a plain mirror ceiling under
-geometric spreading the fan has a closed form (the image method), and the
-kernel traces only the rays near the launch angles where a fate can
-change, plus one ray for each run of rays between them, which counts for
-the whole run; any other fan is traced ray by ray. The fan's shared
+results do not depend on the block size. Under geometric spreading, with
+every fan ray heading up, the kernel traces one ray for each run of fan
+rays proven to share its fate, and that ray counts for the whole run. On
+a plain mirror ceiling the runs lie between the launch angles where a
+fate can change, which the image method gives in closed form. On a
+steered ceiling the runs are the pieces of the fan that meet one
+subunit, each certified by interval bounds with a derived float margin
+(module `pieces`, kept apart so that, with bytecode writing off, no
+module costs more memory to compile than this one); the rays of a piece
+that cannot be certified, such as one whose rays reach the floor, are
+traced one by one. Inverse-square spreading, a fan with a ray that does
+not head up, and a steered fan with too few rays per subunit for the
+pieces to pay off are traced ray by ray throughout. The fan's shared
 origin stays scalar through the first step, a step at which every ray
 lives on is not compacted, and after the first step the distance to the
 ceiling or floor needs no forward filter, since a ray then leaves the
-other one and the scene keeps their span above `FORWARD_EPS`. `trace_ray`
-follows a single ray with the same arithmetic in plain floats and records
-its polyline; it is the kernel's per-ray reference.
+other one and the scene keeps their span above `FORWARD_EPS`.
+`trace_ray` follows a single ray with the same arithmetic in plain
+floats and records its polyline; it is the kernel's per-ray reference.
 
 The same single-bounce transport integral is also available as a midpoint
 quadrature over the ceiling footprint; tracer and quadrature are two
@@ -30,14 +38,14 @@ independent discretizations of one integral and serve as mutual oracles.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import FORWARD_EPS, Ray, Vec2
-from .scene import HsfPanel, Scene, _require_power, fan_directions
+from .pieces import _piece_rays
+from .scene import HsfPanel, Scene, _fan, _fan_heads_up, _require_power
 
 # Rays per kernel block. A float64 temporary of one block is 64 KiB, so a
 # step's working set fits a 2 MiB per-core L2, and each temporary stays
@@ -358,17 +366,6 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
         bounce += 1
 
 
-@functools.lru_cache(maxsize=8)
-def _fan(boresight: Vec2, beam_halfwidth: float,
-         n_rays: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous, read-only x and y components of `fan_directions`."""
-    dirs = fan_directions(boresight, beam_halfwidth, n_rays)
-    parts = tuple(np.ascontiguousarray(dirs[:, i]) for i in (0, 1))
-    for a in parts:
-        a.flags.writeable = False
-    return parts
-
-
 def _event_rays(scene: Scene, origin: Vec2,
                 cfg: TracerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fan indices whose fates settle a mirror-corridor fan, and how many
@@ -463,28 +460,34 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     rays per fate, so each total is that share times one count (or, under
     inverse-square spreading, one exact sum of gains).
 
-    On a plain mirror ceiling (every normal (0, -1)) under geometric
-    spreading, with every fan ray heading up, the kernel traces only the
-    rays `_event_rays` picks, each counting for the run of fan rays it
-    stands for; the counts are those of the whole fan. Any other fan is
-    traced ray by ray.
+    Under geometric spreading, with every fan ray heading up, the kernel
+    traces only some rays, each counting for the run of fan rays it
+    stands for, and the counts are those of the whole fan: on a plain
+    mirror ceiling (every normal (0, -1)) the rays `_event_rays` picks, on
+    a steered one those `_piece_rays` picks, which traces ray by ray the
+    rays of every piece it cannot certify, among them every piece that
+    reaches the floor. Inverse-square spreading, a fan with a ray that
+    does not head up and a steered fan too coarse for its pieces to pay
+    off are traced ray by ray.
     """
     _require_power(total_power)
-    dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, cfg.n_rays)
-    per_ray = total_power * scene.tx.gain / cfg.n_rays
+    tx = scene.tx
+    dx, dy = _fan(tx.boresight, tx.beam_halfwidth, cfg.n_rays)
+    per_ray = total_power * tx.gain / cfg.n_rays
     origin = scene.tx_origin(dislocation)
-    normal_x, normal_y = panel.normals_array().T
-    # a steered panel nearly always fails on its first normal, for free
-    if (cfg.spreading is Spreading.GEOMETRIC and normal_x[0] == 0.0
-            and np.all(normal_x == 0.0) and np.all(normal_y == -1.0)
-            and dy.min() > 0.0):
-        index, weight = _event_rays(scene, origin, cfg)
+    rays = None
+    if (cfg.spreading is Spreading.GEOMETRIC
+            and _fan_heads_up(tx.boresight, tx.beam_halfwidth, cfg.n_rays)):
+        rays = (_event_rays(scene, origin, cfg) if panel._mirror
+                else _piece_rays(scene, panel, origin, cfg))
+    if rays is None:
+        captured, escaped, terminated = _trace_batch(
+            scene, panel, origin.x, origin.y, dx, dy, cfg)
+    else:
+        index, weight = rays
         captured, escaped, terminated = _trace_batch(
             scene, panel, origin.x, origin.y, dx[index], dy[index], cfg,
             weight)
-    else:
-        captured, escaped, terminated = _trace_batch(
-            scene, panel, origin.x, origin.y, dx, dy, cfg)
     return TraceOutcome(per_ray * captured, per_ray * escaped,
                         per_ray * terminated)
 

@@ -6,6 +6,7 @@ from pwesim.cli import _fmt_trim, main
 from pwesim.experiment import (_KEYS, CSV_HEADER, ConfigError,
                                ExperimentConfig, _fmt, csv_text, dbm_to_watts,
                                emit_csv, load_config, parse_config, run_sweep)
+from pwesim.steering import Biased, materialize_normals
 
 FLOAT_KEYS = [key for key, (_, kind) in _KEYS.items()
               if kind in ("float", "float_list")]
@@ -310,6 +311,20 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "ray,fate,delivered_w,vertex,x_m,y_m"
         assert len({line.split(",")[0] for line in lines[1:]}) == 9
+
+    def test_trace_builds_only_its_curve(self, capsys, tmp_path,
+                                         monkeypatch):
+        built = []
+
+        def spy(schedule, scene):
+            built.append(schedule.mode)
+            return materialize_normals(schedule, scene)
+
+        monkeypatch.setattr("pwesim.cli.materialize_normals", spy)
+        out = tmp_path / "paths.csv"
+        assert main(["trace", "--scheme", "biased", "--bias-p", "0.3",
+                     "--rays", "5", "--paths", str(out)]) == 0
+        assert built == [Biased(0.3, 0)]
 
     def test_trace_unlisted_scheme_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

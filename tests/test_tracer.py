@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from image_source import image_source_counts
 
-from pwesim.experiment import ExperimentConfig, dbm_to_watts
+from pwesim.experiment import ExperimentConfig, dbm_to_watts, run_sweep
 from pwesim.geometry import Circle, Ray, Vec2
 from pwesim.scene import (Antenna, HsfPanel, Scene, fan_directions,
                           mirror_panel, tx_ray_fan)
-from pwesim.steering import Static, Unbiased, build_schedule, \
+from pwesim.steering import Biased, Static, Unbiased, build_schedule, \
     materialize_normals
 from pwesim.tracer import (_BLOCK, Captured, Escaped, Spreading, Terminated,
-                           TracerConfig, _fan, _trace_batch,
+                           TracerConfig, _fan, _piece_rays, _trace_batch,
                            analytic_received_power, received_power, trace_ray)
 
 
@@ -662,21 +662,257 @@ class TestMirrorEvents:
         scn = random_mirror_corridor(np.random.default_rng(seed), max_bounces)
         cfg = TracerConfig(n_rays=n_rays, max_bounces=max_bounces,
                            rx_cone_gate=cone)
-        batches = []
-
-        def spy(*args):
-            batches.append(len(args[4]))
-            return _trace_batch(*args)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr("pwesim.tracer._trace_batch", spy)
-            # every ray carries n_rays / n_rays = 1 W, so powers are counts
-            out = received_power(scn, scn.ceiling, 0.0, cfg, n_rays)
-        assert len(batches) == 1 and batches[0] < n_rays
-        got = (out.captured_power, out.escaped_power, out.terminated_power)
+        got, batches = counted_power(scn, scn.ceiling, 0.0, cfg)
+        assert len(batches) == 1 and batches[0][0] < n_rays
+        dense = dense_counts(scn, scn.ceiling, 0.0, cfg)
+        assert got == dense
         o = scn.tx.position
         dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, n_rays)
-        dense = _trace_batch(scn, scn.ceiling, o.x, o.y, dx, dy, cfg)
-        assert got == dense
         assert dense == image_source_counts(scn, o.x, o.y, dx, dy,
                                             max_bounces, cone)
+
+
+def counted_power(scn: Scene, panel: HsfPanel, d: float,
+                  cfg: TracerConfig) -> tuple[tuple, list[int]]:
+    """`received_power`'s counts (each ray carries 1 W) and, per kernel
+    call it made, the number of rays and whether they carried a
+    multiplicity."""
+    batches = []
+
+    def spy(*args):
+        batches.append((len(args[4]), len(args) > 7))
+        return _trace_batch(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("pwesim.tracer._trace_batch", spy)
+        out = received_power(scn, panel, d, cfg, cfg.n_rays)
+    return (out.captured_power, out.escaped_power,
+            out.terminated_power), batches
+
+
+def dense_counts(scn: Scene, panel: HsfPanel, d: float,
+                 cfg: TracerConfig) -> tuple:
+    o = scn.tx_origin(d)
+    dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, cfg.n_rays)
+    return _trace_batch(scn, panel, o.x, o.y, dx, dy, cfg)
+
+
+def first_bounce(scn: Scene, panel: HsfPanel, o: Vec2, dx, dy):
+    """Step-0 subunit, hit x and reflected direction of upward rays, by the
+    kernel's arithmetic."""
+    x = o.x + (panel.y_height - o.y) / dy * dx
+    sub = panel.index_at(x)
+    nx, ny = panel.normals_array()[sub].T
+    k = 2.0 * (dx * nx + dy * ny)
+    rx, ry = dx - k * nx, dy - k * ny
+    norm = np.hypot(rx, ry)
+    return sub, x, rx / norm, ry / norm
+
+
+def with_receiver(scn: Scene, center: Vec2, radius: float,
+                  boresight_angle: float | None = None) -> Scene:
+    """The same corridor with the receive disc (and, if given, the
+    receiver's boresight) moved."""
+    angle = (math.atan2(scn.rx.boresight.y, scn.rx.boresight.x)
+             if boresight_angle is None else boresight_angle)
+    rx = Antenna(center, Vec2(math.cos(angle), math.sin(angle)),
+                 scn.rx.beam_halfwidth)
+    return replace(scn, rx=rx, rx_aperture=Circle(center, radius))
+
+
+def random_steered_corridor(rng: np.random.Generator, mode: str,
+                            cone: bool) -> tuple[Scene, HsfPanel, float]:
+    """A corridor of random size with the receive disc anywhere inside it,
+    a tilted receiver, a steered panel of 1, 2 or 5 mm subunits, and a
+    dislocation. With the cone gate on, half the time an edge of the
+    receive cone points at the ceiling above the transmitter, where the
+    steered rays come from, so that the gate splits the rays that reach
+    the disc."""
+    height = rng.uniform(2.0, 5.0)
+    length = rng.uniform(3.0, 12.0)
+    offset = rng.uniform(0.3, length - 0.8)
+    user_h = rng.uniform(0.3, height - 0.3)
+    radius = rng.uniform(0.01, 0.2)
+    while True:
+        rx_x = rng.uniform(1e-3 - offset, length - offset - 1e-3)
+        rx_y = rng.uniform(radius + 1e-3, height - radius - 1e-3)
+        d = rng.uniform(0.0, 0.5)
+        if min(math.hypot(rx_x - d, rx_y - user_h),
+               math.hypot(rx_x, rx_y - user_h)) > radius:
+            break
+    tilt = rng.uniform(-90.0, 90.0)
+    if cone and rng.random() < 0.5:
+        aim = math.degrees(math.atan2(height - rx_y, d - rx_x))
+        tilt = aim + rng.choice((-30.0, 30.0)) - 90.0
+    cfg = ExperimentConfig(ceiling_height=height, corridor_length=length,
+                           tx_offset=offset, user_height=user_h, rx_x=rx_x,
+                           rx_y_rel=rx_y - user_h, aperture=radius,
+                           subunit_length=float(rng.choice((1e-3, 2e-3,
+                                                             5e-3))),
+                           rx_tilt_ccw_deg=tilt)
+    scn = cfg.scene()
+    steering = {"static": Static(), "unbiased": Unbiased(),
+                "biased": Biased(float(rng.choice((0.1, 0.3, 0.5))), 0)}
+    sch = build_schedule(steering[mode], scn.ceiling.subunit_count - 1, 250,
+                         cfg.tx_step)
+    return scn, materialize_normals(sch, scn), d
+
+
+class TestSteeredPieces:
+    """On a steered panel `received_power` traces one ray for each piece of
+    the fan that meets one subunit and is certified to share a fate, and
+    the rest ray by ray; its counts are exactly those of the whole fan
+    traced ray by ray."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(("static", "unbiased", "biased")),
+           cone=st.booleans(),
+           n_rays=st.sampled_from((20001, 100001)))
+    def test_random_steered_corridors(self, seed, mode, cone, n_rays):
+        scn, panel, d = random_steered_corridor(np.random.default_rng(seed),
+                                                mode, cone)
+        cfg = TracerConfig(n_rays=n_rays, rx_cone_gate=cone)
+        got, batches = counted_power(scn, panel, d, cfg)
+        # one call, which counts pieces; a piece that reaches the floor is
+        # traced ray by ray, so a fan may be traced ray by ray throughout
+        assert len(batches) == 1 and batches[0][1]
+        assert got == dense_counts(scn, panel, d, cfg)
+
+    @pytest.mark.parametrize("disc", ("edge inside the piece", "whole piece"))
+    def test_capture_flips_twice_in_one_piece(self, scene, static_panel,
+                                              disc):
+        """A piece whose rays cross the cone's edge, with the disc's edge
+        inside the piece too (the disc then admits the rays on one side of
+        a point and the cone those on the other, so that only the rays
+        between are captured) or with the whole piece inside the disc. The
+        piece must not be settled as a whole."""
+        cfg = TracerConfig(n_rays=20001, rx_cone_gate=True)
+        o = scene.tx_origin(0.0)
+        dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth,
+                      cfg.n_rays)
+        sub, x, rx, ry = first_bounce(scene, static_panel, o, dx, dy)
+        piece = np.flatnonzero(sub == sub[cfg.n_rays // 3])
+        c = scene.rx_aperture.center
+        # static steering aims every subunit at the disc's centre, so the
+        # signed miss distance h changes sign inside the piece
+        h = ((c.x - x[piece]) * ry[piece]
+             - (c.y - scene.ceiling_height) * rx[piece])
+        radius = (float(np.median(abs(h))) if disc == "edge inside the piece"
+                  else 0.05)
+        # the cone's edge between two arrivals in the middle of the run of
+        # rays inside the disc
+        arrival = np.arctan2(-ry[piece], -rx[piece])
+        inside = np.flatnonzero(h * h <= radius * radius)
+        mid = inside[len(inside) // 2]
+        edge = 0.5 * (arrival[mid] + arrival[mid + 1])
+        turn = math.copysign(1.0, arrival[-1] - arrival[0])
+        scn = with_receiver(scene, c, radius,
+                            edge + turn * scene.rx.beam_halfwidth)
+        in_disc = h * h <= radius * radius
+        in_cone = abs(arrival - edge - turn * scene.rx.beam_halfwidth) \
+            <= scene.rx.beam_halfwidth
+        assert (in_disc & ~in_cone).any() and (in_disc & in_cone).any()
+        if disc == "edge inside the piece":
+            # the 1148/1149/1150 pattern: in the disc but not the cone,
+            # then captured, then in the cone but not the disc
+            flips = np.flatnonzero(np.diff(in_disc & in_cone))
+            assert (~in_disc & in_cone)[flips[-1] + 1:].all()
+        else:
+            assert in_disc.all()
+
+        index, weight = _piece_rays(scn, static_panel, o, cfg)
+        mine = (index >= piece[0]) & (index <= piece[-1])
+        assert mine.any() and weight[mine].max() < len(piece)
+        got, _ = counted_power(scn, static_panel, 0.0, cfg)
+        assert got == dense_counts(scn, static_panel, 0.0, cfg)
+
+    def test_disc_edge_on_a_piece_end(self, scene):
+        """The disc's edge passes through the first ray of a piece in the
+        kernel's own arithmetic: that ray is captured on its way up, and
+        the rest of the piece reaches the ceiling and escapes. The kernel
+        tests h2 = |m|^2 - s^2 <= r^2, which rounds differently from the
+        certifier's h^2, so only the margin keeps such a piece unsettled;
+        each of several pieces is tried."""
+        cfg = TracerConfig(n_rays=20001)
+        # steer every ray toward the right-hand open end
+        aim = with_receiver(scene, Vec2(scene.corridor_x_max - 0.05, 2.8),
+                            0.01)
+        panel = materialize_normals(
+            build_schedule(Static(), scene.ceiling.subunit_count - 1, 250,
+                           0.002), aim)
+        o = scene.tx_origin(0.0)
+        dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth,
+                      cfg.n_rays)
+        sub = first_bounce(scene, panel, o, dx, dy)[0]
+        starts = np.flatnonzero(np.diff(sub)) + 1
+        c = Vec2(0.3, 2.2)
+        phi = math.atan2(c.y - o.y, c.x - o.x)
+        angle = np.arctan2(dy, dx)
+        # the first rays of the pieces just above the direction to c
+        starts = starts[angle[starts] > phi + 0.01][:12]
+        assert len(starts) == 12
+        for a in starts:
+            mx, my = c.x - o.x, c.y - o.y
+            s = mx * dx[a:a + 1] + my * dy[a:a + 1]
+            h2 = float((mx * mx + my * my - s * s)[0])
+            radius = math.sqrt(h2)
+            while radius ** 2 < h2:
+                radius = math.nextafter(radius, math.inf)
+            while math.nextafter(radius, 0.0) ** 2 >= h2:
+                radius = math.nextafter(radius, 0.0)
+            scn = with_receiver(scene, c, radius)
+            ray = (scn, panel, o.x, o.y, dx[a:a + 2], dy[a:a + 2], cfg)
+            assert _trace_batch(*ray) == (1, 1, 0)
+            assert _trace_batch(*ray[:-1], replace(cfg, max_bounces=1)) \
+                == (1, 1, 0)
+            assert _trace_batch(with_receiver(
+                scene, c, math.nextafter(radius, 0.0)), *ray[1:]) == (0, 2, 0)
+            got, _ = counted_power(scn, panel, 0.0, cfg)
+            assert got == dense_counts(scn, panel, 0.0, cfg), a
+
+    def test_coarse_fan_is_traced_densely(self):
+        """Fewer than seven rays per footprint subunit: no array is built
+        for the cut, and the kernel traces the whole fan."""
+        cfg = ExperimentConfig(subunit_length=0.0002, n_rays=2001)
+        scn = cfg.scene()
+        panel = materialize_normals(
+            build_schedule(Unbiased(), scn.ceiling.subunit_count - 1, 250,
+                           cfg.tx_step), scn)
+        tracer_cfg = cfg.tracer_config()
+        assert _piece_rays(scn, panel, scn.tx_origin(0.1), tracer_cfg) is None
+        _, batches = counted_power(scn, panel, 0.1, tracer_cfg)
+        assert batches == [(2001, False)]
+
+
+class TestWorkBudget:
+    """The rays the kernel traces in the default sweep, counted exactly. A
+    change that traces more must raise a budget here and say why."""
+
+    # most rays traced at one point of each steered curve
+    STEERED = {("static", None): 2100, ("unbiased", None): 2300,
+               ("biased", 0.1): 2300, ("biased", 0.3): 3200,
+               ("biased", 0.5): 3800}
+
+    def test_default_sweep(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append((args[1], len(args[4])))
+            return _trace_batch(*args)
+
+        monkeypatch.setattr("pwesim.tracer._trace_batch", spy)
+        cfg = ExperimentConfig()
+        run_sweep(cfg, workers=1)
+        points = len(cfg.sweep_points())
+        curves = list(self.STEERED) + [("baseline", None)]
+        # one kernel call per point, curve by curve
+        assert len(calls) == len(curves) * points
+        for k, curve in enumerate(curves):
+            mine = calls[k * points:(k + 1) * points]
+            assert len({id(panel) for panel, _ in mine}) == 1
+            rays = [n for _, n in mine]
+            if curve == ("baseline", None):
+                assert sum(rays) == 20637
+            else:
+                assert max(rays) <= self.STEERED[curve], curve
