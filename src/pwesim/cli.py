@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from .experiment import (ConfigError, ExperimentConfig, _fmt,
+from .experiment import (ConfigError, ExperimentConfig, _curve_panel, _fmt,
                          _scheme_schedules, dbm_to_watts, emit_csv,
                          load_config, run_sweep)
 from .latency import dislocation, total_latency
@@ -54,8 +54,7 @@ def _select_curve(cfg: ExperimentConfig, scene, scheme: str, bias_p):
         want = (scheme, None if scheme != "biased" else cfg.bias_p[0])
     for label, p, schedule in _scheme_schedules(cfg, scene):
         if (label, p) == want:
-            return (scene.ceiling if schedule is None
-                    else materialize_normals(schedule, scene))
+            return _curve_panel(schedule, scene)
     raise ConfigError(
         f"steering.modes: scheme {scheme!r}"
         + (f" with p={bias_p}" if bias_p is not None else "")

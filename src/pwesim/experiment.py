@@ -334,11 +334,17 @@ def _scheme_schedules(cfg: ExperimentConfig, scene: Scene
             yield "baseline", None, None
 
 
+def _curve_panel(schedule: Schedule | None, scene: Scene) -> HsfPanel:
+    """The panel of one curve: its schedule's normals, or the mirror
+    ceiling for the baseline, which has no schedule."""
+    return (scene.ceiling if schedule is None
+            else materialize_normals(schedule, scene))
+
+
 def _scheme_curves(cfg: ExperimentConfig, scene: Scene
                    ) -> list[tuple[str, float | None, HsfPanel]]:
     """Ordered (label, bias_p, panel) triples, one per sweep curve."""
-    return [(label, p, scene.ceiling if schedule is None
-             else materialize_normals(schedule, scene))
+    return [(label, p, _curve_panel(schedule, scene))
             for label, p, schedule in _scheme_schedules(cfg, scene)]
 
 

@@ -30,11 +30,6 @@ if TYPE_CHECKING:
 _U = 2.0 ** -53
 # Fan rays evaluated on each side of an estimated cut.
 _WINDOW = 3
-# Sub-pieces an unsettled piece is split into before its rays are traced,
-# when at least _SPLIT_MIN rays are unsettled: a certifying pass costs
-# about as much as tracing 5,000 rays one by one.
-_SPLIT = 16
-_SPLIT_MIN = 4096
 
 
 def _hull(*corners):
@@ -233,9 +228,7 @@ def _piece_rays(scene: Scene, panel: HsfPanel, origin: Vec2,
     each side of the estimate finds the exact cut. `_settled` certifies
     all pieces at once; each settled piece is returned as its middle ray,
     standing for the whole piece, and the kernel decides that ray's fate.
-    Unsettled pieces are split into `_SPLIT` and certified again, if they
-    hold at least `_SPLIT_MIN` rays; the rays still unsettled are
-    returned one by one.
+    The rays of every unsettled piece are returned one by one.
 
     Returns None, before allocating any array, when the fan holds fewer
     than 2 * `_WINDOW` + 1 rays per footprint subunit, where the cut
@@ -270,24 +263,12 @@ def _piece_rays(scene: Scene, panel: HsfPanel, origin: Vec2,
     hi = np.concatenate((cut, [n]))
     sub = top - np.arange(len(lo))
 
-    index, weight = [], []
-    for last_round in (False, True):
-        full = hi > lo
-        lo, hi, sub = lo[full], hi[full], sub[full]
-        ok = _settled(scene, panel, origin, cfg, lo, hi - 1, sub)
-        index.append((lo[ok] + hi[ok] - 1) // 2)
-        weight.append(hi[ok] - lo[ok])
-        lo, hi, sub = lo[~ok], hi[~ok], sub[~ok]
-        if last_round or (hi - lo).sum() < _SPLIT_MIN:
-            break
-        # each unsettled piece becomes _SPLIT sub-pieces
-        q = np.arange(_SPLIT + 1)
-        cuts = lo[:, None] + (hi - lo)[:, None] * q // _SPLIT
-        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        sub = np.repeat(sub, _SPLIT)
-    # every ray still unsettled is traced on its own
-    size = hi - lo
-    index.append(np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size,
-                                                   size))
-    weight.append(np.ones(size.sum(), np.int64))
-    return np.concatenate(index), np.concatenate(weight)
+    full = hi > lo
+    lo, hi, sub = lo[full], hi[full], sub[full]
+    ok = _settled(scene, panel, origin, cfg, lo, hi - 1, sub)
+    # every ray of an unsettled piece is traced on its own
+    size = hi[~ok] - lo[~ok]
+    rays = np.arange(size.sum()) + np.repeat(lo[~ok] - np.cumsum(size) + size,
+                                             size)
+    return (np.concatenate(((lo[ok] + hi[ok] - 1) // 2, rays)),
+            np.concatenate((hi[ok] - lo[ok], np.ones(len(rays), np.int64))))

@@ -320,7 +320,7 @@ class TestCli:
             built.append(schedule.mode)
             return materialize_normals(schedule, scene)
 
-        monkeypatch.setattr("pwesim.cli.materialize_normals", spy)
+        monkeypatch.setattr("pwesim.experiment.materialize_normals", spy)
         out = tmp_path / "paths.csv"
         assert main(["trace", "--scheme", "biased", "--bias-p", "0.3",
                      "--rays", "5", "--paths", str(out)]) == 0
