@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 # Accepted deviation from unit norm for direction arguments.
 UNIT_TOL = 1e-9
-# Minimum ray parameter for an intersection to count as "in front of" the
-# origin; keeps a reflected ray from re-hitting the surface it left.
-FORWARD_EPS = 1e-9
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import FORWARD_EPS, Vec2
+from .geometry import Vec2
 from .scene import HsfPanel, Scene, _fan
 
 if TYPE_CHECKING:
@@ -56,9 +56,10 @@ def _segment(scene: Scene, cfg: TracerConfig, oxlo, oxhi, oy: float,
     Returns masks (captured, not captured, escaped, not escaped, known)
     that each hold for every segment of a box, and [lo, hi] of the
     distance to the line, t_v. A box is `known` when dy has the sign that
-    reaches the line, t_v is finite and past the forward filter, and the
-    sign of dx, and so the wall ahead, is fixed, as is the side of that
-    filter on which the wall distance falls. Every quantity is the
+    reaches the line, t_v is finite and positive, and the sign of dx, and
+    so the wall ahead, is fixed, as is the sign of the wall distance: the
+    kernel drops a distance <= 0, and bounds of one sign fix that verdict
+    for every ray of the box. Every quantity is the
     kernel's own formula, bounded over the box and grown by the margins of
     `_settled`, except the aperture test, which bounds h = (c - p) x d
     instead of the kernel's h2 = |m|^2 - s^2.
@@ -75,13 +76,13 @@ def _segment(scene: Scene, cfg: TracerConfig, oxlo, oxhi, oy: float,
     cwlo, cwhi = wall - oxhi - margin, wall - oxlo + margin
     twlo, twhi = _hull(cwlo / dxlo, cwlo / dxhi, cwhi / dxlo, cwhi / dxhi)
     twlo, twhi = twlo * grow_lo, twhi * grow_hi
-    # a wall distance <= FORWARD_EPS is filtered to inf
-    no_wall = twhi <= FORWARD_EPS
+    # a wall distance <= 0 is filtered to inf
+    no_wall = twhi <= 0.0
     twlo = np.where(no_wall, np.inf, twlo)
     twhi = np.where(no_wall, np.inf, twhi)
     known = (((dylo > 0.0) if rise > 0.0 else (dyhi < 0.0))
-             & (right | (dxhi < 0.0)) & (no_wall | (twlo > FORWARD_EPS))
-             & (tvlo > FORWARD_EPS) & (tvhi < np.inf))
+             & (right | (dxhi < 0.0)) & (no_wall | (twlo > 0.0))
+             & (tvlo > 0.0) & (tvhi < np.inf))
 
     c = scene.rx_aperture.center
     mxlo, mxhi = c.x - oxhi - margin, c.x - oxlo + margin
@@ -96,9 +97,9 @@ def _segment(scene: Scene, cfg: TracerConfig, oxlo, oxhi, oy: float,
     inside = np.maximum(hlo2, hhi2) <= r2 - h2_margin
     outside = ((hlo > 0.0) | (hhi < 0.0)) & (np.minimum(hlo2, hhi2)
                                              > r2 + h2_margin)
-    cap = (inside & (slo > FORWARD_EPS)
+    cap = (inside & (slo > 0.0)
            & (shi < np.minimum(tvlo, twlo)))
-    miss = (outside | (shi <= FORWARD_EPS)
+    miss = (outside | (shi <= 0.0)
             | (slo >= np.minimum(tvhi, twhi)))
     if cfg.rx_cone_gate:
         bs = scene.rx.boresight
@@ -145,8 +146,8 @@ def _settled(scene: Scene, panel: HsfPanel, origin: Vec2, cfg: TracerConfig,
       ulps, so every ray's dx and dy lie within 16u of the box spanned by
       the end rays' own floats.
     - Distances t_v and t_w are one division of enclosed values: grown by
-      4u of themselves (a distance below the forward filter is caught by
-      its sign, which rounding keeps).
+      4u of themselves (a distance the kernel filters, one <= 0, is
+      caught by its sign, which rounding keeps).
     - Lengths. Every coordinate and distance that matters for a piece
       whose fate can be settled lies within the corridor, so every term
       of the hit x, of c - p, of s and of h is at most S = |x_min| +

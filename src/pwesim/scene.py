@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FORWARD_EPS, Circle, Ray, Vec2, _require_unit
+from .geometry import Circle, Ray, Vec2, _require_unit
 
 
 def _ceil_count(span: float, step: float) -> int:
@@ -148,9 +148,8 @@ class Scene:
 
     def __post_init__(self) -> None:
         # the tracer needs no forward filter on a floor-to-ceiling leg
-        if not self.ceiling_height - self.floor_y > FORWARD_EPS:
-            raise ValueError("the ceiling must lie more than FORWARD_EPS"
-                             " above the floor")
+        if not self.ceiling_height > self.floor_y:
+            raise ValueError("the ceiling must lie above the floor")
         if not self.floor_y < self.user_height < self.ceiling_height:
             raise ValueError(
                 f"user_height must sit strictly between floor and ceiling, "
@@ -170,6 +169,11 @@ class Scene:
             raise ValueError("tx antenna must sit at user_height")
         if self.ceiling.y_height != self.ceiling_height:
             raise ValueError("ceiling panel height must match ceiling_height")
+        # `index_at` clips to the panel, so a short panel's edge subunits
+        # would silently cover the rest of the corridor
+        if (self.ceiling.x_start, self.ceiling.x_end) != (
+                self.corridor_x_min, self.corridor_x_max):
+            raise ValueError("the ceiling panel must span the corridor")
 
     def tx_origin(self, dislocation: float) -> Vec2:
         """Transmitter position after the user walks `dislocation` meters;

@@ -6,27 +6,20 @@ aperture, escape through an open corridor end, or exhaust the bounce
 budget. Capture is tested on every straight segment before the next
 surface hit, so a ray cannot fly through the aperture unnoticed.
 
-`received_power` counts the fan's rays per fate with one vectorized
-kernel, which walks its rays in fixed blocks, each split once by heading
-so that a group meets one surface per step; every operation is per ray
-and the only sums are integer counts and one exact `math.fsum`, so
-results do not depend on the block size. Under geometric spreading, with
-every fan ray heading up, the kernel traces one ray for each run of fan
-rays proven to share its fate, and that ray counts for the whole run. On
-a plain mirror ceiling the runs lie between the launch angles where a
-fate can change, which the image method gives in closed form. On a
-steered ceiling the runs are the pieces of the fan that meet one
-subunit, each certified by interval bounds with a derived float margin
-(module `pieces`, kept apart so that, with bytecode writing off, no
-module costs more memory to compile than this one); the rays of a piece
-that cannot be certified, such as one whose rays reach the floor, are
-traced one by one. Inverse-square spreading, a fan with a ray that does
-not head up, and a steered fan with too few rays per subunit for the
-pieces to pay off are traced ray by ray throughout. The fan's shared
-origin stays scalar through the first step, a step at which every ray
-lives on is not compacted, and after the first step the distance to the
-ceiling or floor needs no forward filter, since a ray then leaves the
-other one and the scene keeps their span above `FORWARD_EPS`.
+`received_power` makes one call to a vectorized kernel, which traces the
+rays it is given and returns each one's fate, and `_tally` counts the
+fates. Under geometric spreading, with every fan ray heading up, the
+kernel traces one ray for each run of fan rays proven to share its fate,
+weighted by the run's length. On a plain mirror ceiling the runs lie
+between the launch angles where a fate can change, which the image method
+gives in closed form. On a steered ceiling the runs are the pieces of the
+fan that meet one subunit, each certified by interval bounds with a
+derived float margin (module `pieces`, kept apart so that, with bytecode
+writing off, no module costs more memory to compile than this one); the
+rays of a piece that cannot be certified, such as one whose rays reach
+the floor, are traced one by one. Inverse-square spreading, a fan with a
+ray that does not head up, and a steered fan with too few rays per
+subunit for the pieces to pay off are traced ray by ray throughout.
 `trace_ray` follows a single ray with the same arithmetic in plain
 floats and records its polyline; it is the kernel's per-ray reference.
 
@@ -43,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FORWARD_EPS, Ray, Vec2
+from .geometry import Ray, Vec2
 from .pieces import _piece_rays
 from .scene import HsfPanel, Scene, _fan, _fan_heads_up, _require_power
 
@@ -125,13 +118,18 @@ class TraceOutcome:
 
 
 def _require_ceiling(scene: Scene, panel: HsfPanel) -> None:
-    if panel.y_height != scene.ceiling_height:
-        raise ValueError("panel must sit at the scene's ceiling height")
+    """The panel must lie on the scene's ceiling: at its height and on its
+    grid of subunits, which `Scene` makes span the corridor."""
+    c = scene.ceiling
+    if ((panel.y_height, panel.x_start, panel.subunit_length,
+         panel.subunit_count) != (c.y_height, c.x_start, c.subunit_length,
+                                  c.subunit_count)):
+        raise ValueError("panel must sit at the scene's ceiling height and"
+                         " share its subunit grid")
 
 
-def _count(mask, w) -> int:
-    """Rays in `mask`, each counted `w` times when a multiplicity is given."""
-    return int(np.count_nonzero(mask)) if w is None else int(np.dot(w, mask))
+# Fate codes of `_trace_batch`, one per ray; `_tally` counts them.
+_ESCAPED, _CAPTURED, _TERMINATED = 0, 1, 2
 
 
 # A ray parallel to a surface, or on it, gets an inf or nan distance to it,
@@ -139,36 +137,31 @@ def _count(mask, w) -> int:
 # such value before it can decide a fate.
 @np.errstate(divide="ignore", invalid="ignore")
 def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
-                 cfg: TracerConfig,
-                 multiplicity=None) -> tuple[float, int, int]:
-    """Trace unbounced rays; returns (captured, escaped, terminated) counts.
+                 cfg: TracerConfig):
+    """Trace unbounced rays; returns (fate, gain), one entry per ray.
 
-    The origin may be one point shared by every ray. Under inverse-square
-    spreading `captured` is the exact sum (`math.fsum`) of the captured
-    rays' gains 1 / L^2 instead of their count. Either way the result does
-    not depend on summation order, so it is the same for any process or
-    worker count, and for any block size. All per-step work is vectorized
-    over the still-alive subset of each group of each 8192-ray block
-    (`_BLOCK`): the rays heading up, and the rest. Every live ray of a group
-    is at the same surface at every step, ceiling and floor in turn, since
-    a ceiling reflection that does not send a ray down absorbs it.
+    `fate` is each ray's `_CAPTURED`, `_ESCAPED` or `_TERMINATED`. It
+    starts as `_ESCAPED` (code 0), and the kernel writes only captures and
+    the three absorptions (no finite surface ahead, sent back up through
+    the panel, bounce budget spent), so a ray never written left through
+    an open end. `gain` is each ray's 1 / L^2, L its path length to the
+    aperture, under inverse-square spreading (0 if not captured), and None
+    under geometric spreading. Each ray is traced on its own, so the
+    result does not depend on the block size.
 
-    A shared origin stays a pair of scalars through step 0, and a step at
-    which every ray lives on is not compacted. After step 0 a group sits
-    on the ceiling or the floor, so the distance to the other one is
-    span / |dy| >= span > FORWARD_EPS (`Scene` checks the span, the panel
-    must sit at the scene's ceiling height, and a reflection keeps
+    Each 8192-ray block (`_BLOCK`) is split by heading, unless every ray
+    heads up, and each step is vectorized over a group's live rays: every
+    live ray of a group is at the same surface at every step, ceiling and
+    floor in turn, since a ceiling reflection that does not send a ray
+    down absorbs it. A shared origin stays a pair of scalars through step
+    0, and a step at which every ray lives on is not compacted. After step
+    0 a group sits on the ceiling or the floor, so the distance to the
+    other one is span / |dy| >= span > 0 (`Scene` checks the span, the
+    panel sits at the scene's ceiling height, and a reflection keeps
     |dy| <= 1): it needs no forward filter. Directions must be unit
     vectors.
-
-    `multiplicity`, if given, is a positive integer per ray: each ray then
-    counts as that many rays of its fate, so that one traced ray can stand
-    for a run of fan rays that share it. It rides through compaction with
-    its ray. Geometric spreading only.
     """
     _require_ceiling(scene, panel)
-    if multiplicity is not None and cfg.spreading is not Spreading.GEOMETRIC:
-        raise ValueError("a ray multiplicity needs geometric spreading")
     ceil_y, floor_y = panel.y_height, scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normal_x, normal_y = panel.normals_array().T  # contiguous columns
@@ -184,34 +177,40 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     # one origin shared by every ray stays a pair of scalars through step 0
     origin = ((float(ox), float(oy)) if np.ndim(ox) == np.ndim(oy) == 0
               else None)
-    gains: list[float] = []  # inverse-square only
-    # float64 counts exactly to 2^53 and sums a masked share fastest
-    mult = None if multiplicity is None else np.asarray(multiplicity, float)
+    n_rays = len(rays[0])
+    fate = np.zeros(n_rays, np.intp)  # every ray _ESCAPED
+    gain = np.zeros(n_rays) if inv_sq else None
 
-    captured = escaped = terminated = 0
-    for lo in range(0, len(rays[0]), _BLOCK):
+    for lo in range(0, n_rays, _BLOCK):
         block = [a[lo:lo + _BLOCK] for a in rays]
         rising = block[3] > 0.0
-        # split once by heading: each group meets one surface per step
-        for up, group in ((True, rising), (False, ~rising)):
+        # split once by heading, unless every ray heads up: each group
+        # meets one surface per step
+        groups = (((True, ...),) if rising.all()
+                  else ((True, rising), (False, ~rising)))
+        index = np.arange(lo, lo + len(rising))
+        for up, group in groups:
+            ray = index[group]  # each live ray's index in the batch
             dx, dy = block[2][group], block[3][group]
             ox, oy = origin or (block[0][group], block[1][group])
-            w = None if mult is None else mult[lo:lo + _BLOCK][group]
-            n = len(dx) if w is None else int(w.sum())
             if inv_sq:
                 cum_len = np.zeros(len(dx))
             # every live ray has made exactly `step` surface bounces so far
             for step in range(cfg.max_bounces + 1):
-                if n == 0:
+                if len(ray) == 0:
                     break
                 # two candidate surfaces: the ceiling or floor ahead and the
                 # wall ahead; a ray parallel to one, or on it, gets inf for it
                 t_v = ((ceil_y if up else floor_y) - oy) / dy
                 if step == 0:
-                    t_v = np.where(t_v > FORWARD_EPS, t_v, np.inf)
+                    t_v = np.where(t_v > 0.0, t_v, np.inf)
                 t_w = (np.where(dx > 0.0, x_max, x_min) - ox) / dx
-                t_w = np.where(t_w > FORWARD_EPS, t_w, np.inf)
+                t_w = np.where(t_w > 0.0, t_w, np.inf)
 
+                # a ray whose wall is strictly nearer escapes through that
+                # open end, and keeps its fate; the others hit the ceiling
+                # or floor unless captured first
+                gone = t_w < t_v
                 # aperture capture on this segment, before the surface; the
                 # disc test goes first, as nearly every ray fails it
                 mx = rx.x - ox
@@ -219,39 +218,28 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                 s = mx * dx + my * dy
                 h2 = mx * mx + my * my - s * s
                 cap = h2 <= r2
-                n_cap = 0
                 if cap.any():
-                    cap &= (s > FORWARD_EPS) & (s < np.minimum(t_v, t_w))
+                    cap &= (s > 0.0) & (s < np.minimum(t_v, t_w))
                     if cfg.rx_cone_gate:
                         cap &= (-dx) * bs_x + (-dy) * bs_y >= cos_min
-                    n_cap = _count(cap, w)
-                if not inv_sq:
-                    captured += n_cap
-                elif n_cap:
-                    # 0 <= h2_cap <= r2, so the root is real
-                    h2_cap = np.maximum(h2[cap], 0.0)
-                    s_entry = s[cap] - np.sqrt(r2 - h2_cap)
-                    gains.extend((1.0 / (cum_len[cap] + s_entry) ** 2).tolist())
-
-                # the rest escape through an open end if the wall is strictly
-                # nearer, hit the ceiling or floor if that is finite, and are
-                # otherwise stuck (not for unit directions) and absorbed; t_v
-                # is inf only where step 0's filter put it or span / |dy|
-                # overflowed, so only then is a stuck mask built
-                gone = t_w < t_v
-                if n_cap:
+                    hit = ray[cap]
+                    fate[hit] = _CAPTURED
+                    if inv_sq:
+                        # 0 <= h2_cap <= r2, so the root is real
+                        h2_cap = np.maximum(h2[cap], 0.0)
+                        s_entry = s[cap] - np.sqrt(r2 - h2_cap)
+                        gain[hit] = 1.0 / (cum_len[cap] + s_entry) ** 2
                     gone |= cap
-                n_out = _count(gone, w) - n_cap
-                escaped += n_out
-                n_live = n - n_cap - n_out
+                # no finite surface ahead (not for unit directions): absorbed;
+                # t_v is inf only where step 0's filter put it or span / |dy|
+                # overflowed, so only then is a stuck mask built
                 if t_v.max() == np.inf:
-                    gone |= t_v == np.inf
-                    n_stuck = _count(gone, w) - (n - n_live)
-                    terminated += n_stuck
-                    n_live -= n_stuck
+                    stuck = (t_v == np.inf) & ~gone
+                    fate[ray[stuck]] = _TERMINATED
+                    gone |= stuck
                 if step == cfg.max_bounces:
                     # bounce budget spent: absorb every ray still in flight
-                    terminated += n_live
+                    fate[ray[~gone]] = _TERMINATED
                     break
 
                 # advance to the surface (t_v: a live ray's wall is no nearer),
@@ -260,11 +248,9 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                 ox = ox + t_v * dx
                 if inv_sq:
                     cum_len = cum_len + t_v
-                if n_live < n:
+                if gone.any():
                     keep = np.flatnonzero(~gone)
-                    ox, dx, dy = ox[keep], dx[keep], dy[keep]
-                    if w is not None:
-                        w = w[keep]
+                    ray, ox, dx, dy = ray[keep], ox[keep], dx[keep], dy[keep]
                     if inv_sq:
                         cum_len = cum_len[keep]
                 if up:
@@ -278,22 +264,31 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                     # panel, which cannot transmit: absorb it
                     down = dy < 0.0
                     if not down.all():
-                        n_down = _count(down, w)
-                        terminated += n_live - n_down
-                        n_live = n_down
-                        ox, dx, dy = ox[down], dx[down], dy[down]
-                        if w is not None:
-                            w = w[down]
+                        fate[ray[~down]] = _TERMINATED
+                        keep = np.flatnonzero(down)
+                        ray, ox = ray[keep], ox[keep]
+                        dx, dy = dx[keep], dy[keep]
                         if inv_sq:
-                            cum_len = cum_len[down]
+                            cum_len = cum_len[keep]
                     oy, up = ceil_y, False
                 else:
                     dy = -dy  # the floor is a plain mirror
                     oy, up = floor_y, True
-                n = n_live
+    return fate, gain
 
-    if inv_sq:
-        captured = math.fsum(gains)
+
+def _tally(fate, gain, weight=None) -> tuple[float, float, float]:
+    """(captured, escaped, terminated) of the kernel's per-ray result,
+    each ray counted once or `weight` times (one traced ray may stand for
+    a run of fan rays); float64 counts are exact to 2^53. Under
+    inverse-square spreading `captured` is instead the exact, unweighted
+    `math.fsum` of the captured rays' gains, which does not depend on
+    their order.
+    """
+    escaped, captured, terminated = np.bincount(
+        fate, weights=weight, minlength=3).tolist()
+    if gain is not None:
+        captured = math.fsum(gain[fate == _CAPTURED].tolist())
     return captured, escaped, terminated
 
 
@@ -322,14 +317,14 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
               (scene.floor_y - oy) / dy if dy < 0.0 else math.inf,
               (x_max - ox) / dx if dx > 0.0 else math.inf,
               (x_min - ox) / dx if dx < 0.0 else math.inf]
-        ts = [t if t > FORWARD_EPS else math.inf for t in ts]
+        ts = [t if t > 0.0 else math.inf for t in ts]
         t_surf = min(ts)
         surf = ts.index(t_surf)
 
         mx, my = rx.x - ox, rx.y - oy
         s = mx * dx + my * dy
         h2 = max(mx * mx + my * my - s * s, 0.0)
-        if (s > FORWARD_EPS and h2 <= r2 and s < t_surf
+        if (s > 0.0 and h2 <= r2 and s < t_surf
                 and (not cfg.rx_cone_gate
                      or (-dx) * bs.x + (-dy) * bs.y >= cos_min)):
             s_entry = s - math.sqrt(max(r2 - h2, 0.0))
@@ -394,7 +389,7 @@ def _event_rays(scene: Scene, origin: Vec2,
     outermost corners no ray reaches a wall within the budget.
 
     Every fan ray within two indices of an event is returned with
-    multiplicity 1. Between those windows lie runs of rays that no event
+    weight 1. Between those windows lie runs of rays that no event
     separates, far from any event in float terms too, so each run is
     returned as one ray standing for the whole run.
     """
@@ -456,44 +451,42 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
                    cfg: TracerConfig, total_power: float = 1.0) -> TraceOutcome:
     """Ray counts per fate of the transmit fan at the given dislocation.
 
-    Every ray carries total_power * tx.gain / n_rays; the kernel counts
-    rays per fate, so each total is that share times one count (or, under
-    inverse-square spreading, one exact sum of gains).
+    Every ray carries total_power * tx.gain / n_rays; one kernel call
+    gives the fate of each traced ray and `_tally` counts them, so each
+    total is that share times one count (or, under inverse-square
+    spreading, one exact sum of gains).
 
     Under geometric spreading, with every fan ray heading up, the kernel
-    traces only some rays, each counting for the run of fan rays it
-    stands for, and the counts are those of the whole fan: on a plain
-    mirror ceiling (every normal (0, -1)) the rays `_event_rays` picks, on
-    a steered one those `_piece_rays` picks, which traces ray by ray the
-    rays of every piece it cannot certify, among them every piece that
-    reaches the floor. Inverse-square spreading, a fan with a ray that
-    does not head up and a steered fan too coarse for its pieces to pay
-    off are traced ray by ray.
+    traces only some rays, each weighted by the run of fan rays it stands
+    for, and the counts are those of the whole fan: on a plain mirror
+    ceiling (every normal (0, -1)) the rays `_event_rays` picks, on a
+    steered one those `_piece_rays` picks, which returns with weight 1
+    the rays of every piece it cannot certify, among them every piece
+    that reaches the floor. Inverse-square spreading, a fan with a ray
+    that does not head up and a steered fan too coarse for its pieces to
+    pay off are traced ray by ray.
     """
     _require_power(total_power)
     tx = scene.tx
     dx, dy = _fan(tx.boresight, tx.beam_halfwidth, cfg.n_rays)
     per_ray = total_power * tx.gain / cfg.n_rays
     origin = scene.tx_origin(dislocation)
-    rays = None
+    weight = None
     if (cfg.spreading is Spreading.GEOMETRIC
             and _fan_heads_up(tx.boresight, tx.beam_halfwidth, cfg.n_rays)):
         rays = (_event_rays(scene, origin, cfg) if panel._mirror
                 else _piece_rays(scene, panel, origin, cfg))
-    if rays is None:
-        captured, escaped, terminated = _trace_batch(
-            scene, panel, origin.x, origin.y, dx, dy, cfg)
-    else:
-        index, weight = rays
-        captured, escaped, terminated = _trace_batch(
-            scene, panel, origin.x, origin.y, dx[index], dy[index], cfg,
-            weight)
+        if rays is not None:
+            index, weight = rays
+            dx, dy = dx[index], dy[index]
+    captured, escaped, terminated = _tally(
+        *_trace_batch(scene, panel, origin.x, origin.y, dx, dy, cfg), weight)
     return TraceOutcome(per_ray * captured, per_ray * escaped,
                         per_ray * terminated)
 
 
 def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
-                            quad_points: int, rx_cone_gate: bool = False,
+                            quad_points: int,
                             total_power: float = 1.0) -> float:
     """Single-bounce received power by midpoint quadrature over the ceiling.
 
@@ -555,11 +548,7 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
                           / rx_dir, inf)
     t_surf = np.minimum(np.minimum(t_floor, t_right), t_left)
 
-    cap = (ry_dir < 0.0) & (s > FORWARD_EPS) & (h2 <= r2) & (s < t_surf)
-    if rx_cone_gate:
-        cos_min = math.cos(scene.rx.beam_halfwidth)
-        bs = scene.rx.boresight
-        cap &= (-rx_dir) * bs.x + (-ry_dir) * bs.y >= cos_min
+    cap = (ry_dir < 0.0) & (s > 0.0) & (h2 <= r2) & (s < t_surf)
 
     weight = total_power * tx.gain / (2.0 * tx.beam_halfwidth)
     return float(weight * dx_cell * np.sum(density[cap]))

@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from pwesim.geometry import FORWARD_EPS
-
 
 def image_source_counts(scene, ox, oy, dx, dy, max_bounces,
                         rx_cone_gate=False):
@@ -53,7 +51,7 @@ def image_source_counts(scene, ox, oy, dx, dy, max_bounces,
         if rx_cone_gate:
             seg_dy = dy if k % 2 == 0 else -dy
             in_cone = -dx * bs.x - seg_dy * bs.y >= cos_min
-        captured |= ((h2 <= r2) & (t_foot - t_start > FORWARD_EPS)
+        captured |= ((h2 <= r2) & (t_foot - t_start > 0.0)
                      & (t_foot < t_end) & (t_foot < t_wall) & in_cone)
         # the wall escapes the ray on the segment strictly containing it; a
         # ray meeting it at a segment's end reflects in the corner, heads

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -203,6 +204,30 @@ class TestRunSweep:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_sweep(ExperimentConfig(), workers=0)
+
+    @pytest.mark.parametrize("exponent", (-60, -40, -20, 100))
+    def test_power_of_two_scale_changes_no_row(self, exponent):
+        """Scaling every length key by 2^k scales every distance the
+        program computes exactly and keeps every ratio, so each row is the
+        same but for its d_x. A fixed length threshold breaks this: at
+        2^-20 it changed rows, and at 2^-40 it rejected the scene."""
+        lengths = ("scene.H", "scene.L", "scene.offset", "scene.h",
+                   "scene.rx_x", "scene.rx_y_rel", "scene.delta_hsf",
+                   "scene.delta_tx", "scene.aperture", "sweep.start",
+                   "sweep.stop", "sweep.step")
+        base = ExperimentConfig(sweep_step=0.25)
+
+        def rows(scale):
+            text = "".join(
+                f"{key} = {getattr(base, _KEYS[key][0]) * scale!r}\n"
+                for key in lengths)
+            return run_sweep(parse_config(text)).rows
+
+        want = rows(1.0)
+        assert len(want) == 18
+        scale = 2.0 ** exponent
+        assert rows(scale) == tuple(replace(r, d_x=r.d_x * scale)
+                                    for r in want)
 
 
 class TestCsv:

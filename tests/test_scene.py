@@ -170,11 +170,24 @@ class TestSceneValidation:
         assert build(0.04).rx_aperture.radius == 0.04
 
     def test_ceiling_must_clear_floor(self, scene):
-        # the tracer rests on a floor-to-ceiling leg longer than FORWARD_EPS
-        with pytest.raises(ValueError, match="FORWARD_EPS"):
-            Scene(ceiling=scene.ceiling, floor_y=3.0 - 1e-10,
-                  corridor_x_min=-1.0, corridor_x_max=4.0, tx=scene.tx,
-                  rx=scene.rx, rx_aperture=scene.rx_aperture,
+        # the tracer rests on a floor-to-ceiling leg of positive length
+        for floor_y in (3.0, 3.5, math.nan):
+            with pytest.raises(ValueError, match="ceiling must lie above"):
+                Scene(ceiling=scene.ceiling, floor_y=floor_y,
+                      corridor_x_min=-1.0, corridor_x_max=4.0, tx=scene.tx,
+                      rx=scene.rx, rx_aperture=scene.rx_aperture,
+                      user_height=1.0, ceiling_height=3.0)
+
+    @pytest.mark.parametrize("x_start, x_end", ((-1.0, 0.0), (0.0, 4.0),
+                                                (-1.0, 5.0), (-2.0, 4.0)))
+    def test_ceiling_must_span_the_corridor(self, scene, x_start, x_end):
+        # a panel short of an open end used to pass, and its edge subunit
+        # then reflected every ray beyond it
+        panel = mirror_panel(3.0, x_start, x_end, 0.001)
+        with pytest.raises(ValueError, match="span the corridor"):
+            Scene(ceiling=panel, floor_y=0.0, corridor_x_min=-1.0,
+                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
+                  rx_aperture=scene.rx_aperture,
                   user_height=1.0, ceiling_height=3.0)
 
     def test_aperture_must_not_contain_transmitter(self, scene):

@@ -12,9 +12,19 @@ from pwesim.scene import (Antenna, HsfPanel, Scene, fan_directions,
                           mirror_panel, tx_ray_fan)
 from pwesim.steering import Biased, Static, Unbiased, build_schedule, \
     materialize_normals
-from pwesim.tracer import (_BLOCK, Captured, Escaped, Spreading, Terminated,
-                           TracerConfig, _fan, _piece_rays, _trace_batch,
-                           analytic_received_power, received_power, trace_ray)
+from pwesim.tracer import (_BLOCK, _CAPTURED, _ESCAPED, _TERMINATED,
+                           Captured, Escaped, Spreading, Terminated,
+                           TracerConfig, _fan, _piece_rays, _tally,
+                           _trace_batch, analytic_received_power,
+                           received_power, trace_ray)
+
+# the kernel's fate code of each of `trace_ray`'s fates
+CODE = {Captured: _CAPTURED, Escaped: _ESCAPED, Terminated: _TERMINATED}
+
+
+def kernel_counts(*args) -> tuple:
+    """(captured, escaped, terminated) of one kernel call."""
+    return _tally(*_trace_batch(*args))
 
 
 @pytest.fixture(scope="module")
@@ -305,8 +315,9 @@ class TestConservationRandomized:
 
 
 class TestScalarReference:
-    """trace_ray is the kernel's reference: each ray of a fan, traced alone,
-    lands in the same bucket with exactly the power the kernel gives it."""
+    """trace_ray is the kernel's reference: each ray of a fan gets the same
+    fate from both, and under inverse-square spreading exactly the power
+    the kernel's gain gives it."""
 
     @settings(max_examples=100, deadline=None)
     @given(panel_kind=st.sampled_from(("static", "unbiased", "mirror",
@@ -328,20 +339,21 @@ class TestScalarReference:
                      "mirror": scene.ceiling}[panel_kind]
         cfg = TracerConfig(n_rays=2, max_bounces=max_bounces,
                            spreading=spreading, rx_cone_gate=cone)
-        for ray in tx_ray_fan(scn, d, 41, 0.1):
-            fate = trace_ray(scn, panel, ray, cfg)
-            captured, escaped, terminated = _trace_batch(
-                scn, panel, [ray.origin.x], [ray.origin.y],
-                [ray.direction.x], [ray.direction.y], cfg)
-            if isinstance(fate, Captured):
-                # one captured ray: its count, or its gain 1 / L^2
-                assert ray.power * captured == fate.power
-                assert (escaped, terminated) == (0, 0)
-            elif isinstance(fate, Escaped):
-                assert (captured, escaped, terminated) == (0, 1, 0)
-            else:
-                assert (captured, escaped, terminated) == (0, 0, 1)
-            assert fate.path[0] == ray.origin
+        fan = tx_ray_fan(scn, d, 41, 0.1)
+        fates = [trace_ray(scn, panel, ray, cfg) for ray in fan]
+        o = fan[0].origin
+        dx, dy = ([getattr(ray.direction, c) for ray in fan] for c in "xy")
+        code, gain = _trace_batch(scn, panel, np.full(41, o.x),
+                                  np.full(41, o.y), dx, dy, cfg)
+        assert code.tolist() == [CODE[type(f)] for f in fates]
+        if spreading is Spreading.GEOMETRIC:
+            assert gain is None
+        else:
+            # a captured ray's power is its share times its gain 1 / L^2
+            assert [ray.power * g for ray, g in zip(fan, gain.tolist())] \
+                == [f.power if isinstance(f, Captured) else 0.0
+                    for f in fates]
+        assert all(f.path[0] == ray.origin for ray, f in zip(fan, fates))
 
     @settings(max_examples=60, deadline=None)
     @given(panel_kind=st.sampled_from(("static", "unbiased", "mirror",
@@ -355,8 +367,9 @@ class TestScalarReference:
                                          max_bounces, spreading, cone):
         """One batch of rays, each from its own origin and heading any way
         (axis rays and dy == -0.0 included), so that both heading groups of
-        the kernel run: its counts are exactly those of the rays traced one
-        by one, and under inverse-square spreading the fsum of their gains."""
+        the kernel run: each ray's fate and gain are those of the ray traced
+        alone, and the counts are theirs, under inverse-square spreading
+        with the fsum of the gains."""
         rng = np.random.default_rng(seed)
         if panel_kind == "random":
             scn = random_scene(rng)
@@ -382,12 +395,18 @@ class TestScalarReference:
         rays = zip(*(a.tolist() for a in (ox, oy, dx, dy)))
         fates = [trace_ray(scn, panel, Ray(Vec2(x, y), Vec2(u, v)), cfg)
                  for x, y, u, v in rays]
+        code, gain = _trace_batch(scn, panel, ox, oy, dx, dy, cfg)
+        assert code.tolist() == [CODE[type(f)] for f in fates]
         gains = [f.power for f in fates if isinstance(f, Captured)]
+        if spreading is Spreading.INVERSE_SQUARE:
+            # each ray carries 1 W, so trace_ray's power is the gain itself
+            assert gain.tolist() == [f.power if isinstance(f, Captured)
+                                     else 0.0 for f in fates]
         n_escaped = sum(isinstance(f, Escaped) for f in fates)
         want = (math.fsum(gains) if spreading is Spreading.INVERSE_SQUARE
                 else len(gains),
                 n_escaped, len(fates) - len(gains) - n_escaped)
-        assert _trace_batch(scn, panel, ox, oy, dx, dy, cfg) == want
+        assert _tally(code, gain) == want
 
 
 class TestKernelContract:
@@ -405,7 +424,7 @@ class TestKernelContract:
             for spreading in Spreading:
                 cfg = TracerConfig(n_rays=n, max_bounces=max_bounces,
                                    spreading=spreading)
-                counts[spreading] = _trace_batch(
+                counts[spreading] = kernel_counts(
                     scn, scn.ceiling, scn.tx.position.x + d,
                     scn.tx.position.y, dirs[:, 0], dirs[:, 1], cfg)
             captured, escaped, terminated = counts[Spreading.GEOMETRIC]
@@ -421,9 +440,9 @@ class TestKernelContract:
     @pytest.mark.parametrize("kind", ("mirror", "unbiased"))
     def test_exact_across_block_boundaries(self, scene, unbiased_panel, kind):
         """The first n rays of one fan, for n just below, at and just above
-        a block boundary, give exactly the counts of their rays traced one
-        by one and, under inverse-square spreading, the fsum of their
-        gains."""
+        a block boundary, get exactly the fates and gains of their rays
+        traced one by one, and the counts are theirs, under inverse-square
+        spreading with the fsum of the gains."""
         panel = scene.ceiling if kind == "mirror" else unbiased_panel
         dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth,
                               2 * _BLOCK + 1)
@@ -435,20 +454,19 @@ class TestKernelContract:
         ray_cfg = cfg[Spreading.INVERSE_SQUARE]
         fates = [trace_ray(scene, panel, Ray(origin, Vec2(float(x), float(y))),
                            ray_cfg) for x, y in dirs]
+        codes = [CODE[type(f)] for f in fates]
+        powers = [f.power if isinstance(f, Captured) else 0.0 for f in fates]
         for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
-            head = fates[:n]
-            gains = [f.power for f in head if isinstance(f, Captured)]
-            want = (len(gains),
-                    sum(isinstance(f, Escaped) for f in head),
-                    sum(isinstance(f, Terminated) for f in head))
-            assert sum(want) == n
             args = (scene, panel, origin.x, origin.y, dirs[:n, 0],
                     dirs[:n, 1])
-            assert _trace_batch(*args, cfg[Spreading.GEOMETRIC]) == want
-            captured, escaped, terminated = _trace_batch(
-                *args, cfg[Spreading.INVERSE_SQUARE])
-            assert (escaped, terminated) == want[1:]
-            assert captured == math.fsum(gains)
+            code, gain = _trace_batch(*args, cfg[Spreading.GEOMETRIC])
+            assert code.tolist() == codes[:n] and gain is None
+            code, gain = _trace_batch(*args, cfg[Spreading.INVERSE_SQUARE])
+            assert code.tolist() == codes[:n]
+            assert gain.tolist() == powers[:n]
+            want = (math.fsum(powers[:n]), codes[:n].count(_ESCAPED),
+                    codes[:n].count(_TERMINATED))
+            assert _tally(code, gain) == want
 
     def test_tie_goes_to_ceiling_or_floor(self, scene):
         # the ray meets the ceiling and the right wall at the same distance;
@@ -459,14 +477,28 @@ class TestKernelContract:
         cfg = TracerConfig(n_rays=2, max_bounces=1)
         assert isinstance(trace_ray(scene, scene.ceiling, ray, cfg),
                           Terminated)
-        assert _trace_batch(scene, scene.ceiling, 3.0, 2.0, [s], [s],
-                            cfg) == (0, 0, 1)
+        code, _ = _trace_batch(scene, scene.ceiling, 3.0, 2.0, [s], [s], cfg)
+        assert code.tolist() == [_TERMINATED]
+
+    def test_ray_at_an_open_end_escapes(self, scene):
+        """A ray 1e-10 m inside the right open end and heading out meets
+        the wall first, so it escapes at once, in the kernel and in the
+        scalar reference alike."""
+        x = scene.corridor_x_max - 1e-10
+        cfg = TracerConfig(n_rays=2)
+        fate = trace_ray(scene, scene.ceiling,
+                         Ray(Vec2(x, 1.0), Vec2(0.6, 0.8)), cfg)
+        assert isinstance(fate, Escaped) and len(fate.path) == 2
+        code, _ = _trace_batch(scene, scene.ceiling, x, 1.0, [0.6], [0.8],
+                               cfg)
+        assert code.tolist() == [_ESCAPED]
 
     @pytest.mark.parametrize("kind", ("static", "unbiased", "mirror"))
     def test_shared_origin_matches_per_ray_origins(self, scene, static_panel,
                                                    unbiased_panel, kind):
-        """A scalar origin, kept scalar through step 0, gives exactly what
-        the same origin repeated per ray gives; the last block is partial."""
+        """A scalar origin, kept scalar through step 0, gives exactly the
+        fates and gains that the same origin repeated per ray gives; the
+        last block is partial."""
         panel = {"static": static_panel, "unbiased": unbiased_panel,
                  "mirror": scene.ceiling}[kind]
         n = 2 * _BLOCK + 1
@@ -480,13 +512,15 @@ class TestKernelContract:
                 shared = _trace_batch(scene, panel, o.x, o.y, dx, dy, cfg)
                 per_ray = _trace_batch(scene, panel, np.full(n, o.x),
                                        np.full(n, o.y), dx, dy, cfg)
-                assert repr(shared) == repr(per_ray)
+                assert np.array_equal(shared[0], per_ray[0])
+                assert (shared[1] is per_ray[1] is None
+                        or np.array_equal(shared[1], per_ray[1]))
 
     @pytest.mark.parametrize("kind", ("unbiased", "random"))
-    def test_multiplicity_counts_like_repeated_rays(self, scene,
+    def test_tally_weight_counts_like_repeated_rays(self, scene,
                                                     unbiased_panel, kind):
-        """A ray of multiplicity m counts as m copies of itself, on a panel
-        that sends some rays back up and with rays heading every way."""
+        """A ray of weight m counts as m copies of itself, on a panel that
+        sends some rays back up and with rays heading every way."""
         rng = np.random.default_rng(5)
         if kind == "unbiased":
             scn, panel = scene, unbiased_panel
@@ -499,13 +533,10 @@ class TestKernelContract:
         dx, dy = np.cos(angle), np.sin(angle)
         mult = rng.integers(1, 4, n)
         cfg = TracerConfig(n_rays=2, max_bounces=6, rx_cone_gate=True)
-        got = _trace_batch(scn, panel, o.x, o.y, dx, dy, cfg, mult)
-        assert got == _trace_batch(scn, panel, o.x, o.y, np.repeat(dx, mult),
-                                   np.repeat(dy, mult), cfg)
+        got = _tally(*_trace_batch(scn, panel, o.x, o.y, dx, dy, cfg), mult)
+        assert got == kernel_counts(scn, panel, o.x, o.y, np.repeat(dx, mult),
+                                    np.repeat(dy, mult), cfg)
         assert got[2] > 0 and sum(got) == mult.sum()
-        inv_sq = replace(cfg, spreading=Spreading.INVERSE_SQUARE)
-        with pytest.raises(ValueError, match="multiplicity"):
-            _trace_batch(scn, panel, o.x, o.y, dx, dy, inv_sq, mult)
 
     def test_panel_must_sit_at_ceiling_height(self, scene):
         # the kernel's floor-to-ceiling leg is the scene's checked span; the
@@ -520,6 +551,22 @@ class TestKernelContract:
             trace_ray(scene, low, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg)
         with pytest.raises(ValueError, match="ceiling height"):
             analytic_received_power(scene, low, 0.0, 1000)
+
+    @pytest.mark.parametrize("grid", ((-1.0, 0.0, 0.001), (0.0, 5.0, 0.001),
+                                      (-1.0, 4.0, 0.002)))
+    def test_panel_must_share_the_ceiling_grid(self, scene, grid):
+        # a 1 m panel in the 5 m corridor used to pass, and `index_at`
+        # clipped every hit beyond it to its edge subunit
+        other = mirror_panel(3.0, *grid)
+        cfg = TracerConfig()
+        with pytest.raises(ValueError, match="subunit grid"):
+            _trace_batch(scene, other, 0.0, 1.0, [0.0], [1.0], cfg)
+        with pytest.raises(ValueError, match="subunit grid"):
+            received_power(scene, other, 0.0, cfg)
+        with pytest.raises(ValueError, match="subunit grid"):
+            trace_ray(scene, other, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg)
+        with pytest.raises(ValueError, match="subunit grid"):
+            analytic_received_power(scene, other, 0.0, 1000)
 
     def test_cached_fan_is_read_only(self, scene):
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, 101)
@@ -551,7 +598,7 @@ class TestImageSourceOracle:
         o = scn.tx_origin(d)
         dirs = fan_directions(scn.tx.boresight, scn.tx.beam_halfwidth, 2001)
         cfg = TracerConfig(n_rays=2001, max_bounces=max_bounces)
-        got = _trace_batch(scn, panel, o.x, o.y, dirs[:, 0], dirs[:, 1], cfg)
+        got = kernel_counts(scn, panel, o.x, o.y, dirs[:, 0], dirs[:, 1], cfg)
         assert got == image_source_counts(scn, o.x, o.y, dirs[:, 0],
                                           dirs[:, 1], max_bounces)
 
@@ -585,13 +632,13 @@ class TestImageSourceOracle:
         dx = np.concatenate((dx, (c, -c)))
         dy = np.concatenate((dy, (c, c)))
         want = image_source_counts(scene, ox, oy, dx, dy, cfg.max_bounces)
-        assert _trace_batch(scene, scene.ceiling, ox, oy, dx, dy,
-                            cfg) == want
+        assert kernel_counts(scene, scene.ceiling, ox, oy, dx, dy,
+                             cfg) == want
         # the kernel's default sweep takes the fan from one shared origin
         head = image_source_counts(scene, o.x, o.y, dx[:-2], dy[:-2],
                                    cfg.max_bounces)
-        assert _trace_batch(scene, scene.ceiling, o.x, o.y, dx[:-2],
-                            dy[:-2], cfg) == head
+        assert kernel_counts(scene, scene.ceiling, o.x, o.y, dx[:-2],
+                             dy[:-2], cfg) == head
         assert head[0] > 0 and head[1] > 0 and head[2] > 0
         assert want[2] == head[2] + 2  # the corner rays are absorbed
 
@@ -675,26 +722,30 @@ class TestMirrorEvents:
 def counted_power(scn: Scene, panel: HsfPanel, d: float,
                   cfg: TracerConfig) -> tuple[tuple, list[int]]:
     """`received_power`'s counts (each ray carries 1 W) and, per kernel
-    call it made, the number of rays and whether they carried a
-    multiplicity."""
-    batches = []
+    call it made, the number of rays and whether `_tally` weighted them."""
+    rays, weighted = [], []
 
-    def spy(*args):
-        batches.append((len(args[4]), len(args) > 7))
+    def trace(*args):
+        rays.append(len(args[4]))
         return _trace_batch(*args)
 
+    def tally(fate, gain, weight=None):
+        weighted.append(weight is not None)
+        return _tally(fate, gain, weight)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr("pwesim.tracer._trace_batch", spy)
+        m.setattr("pwesim.tracer._trace_batch", trace)
+        m.setattr("pwesim.tracer._tally", tally)
         out = received_power(scn, panel, d, cfg, cfg.n_rays)
     return (out.captured_power, out.escaped_power,
-            out.terminated_power), batches
+            out.terminated_power), list(zip(rays, weighted))
 
 
 def dense_counts(scn: Scene, panel: HsfPanel, d: float,
                  cfg: TracerConfig) -> tuple:
     o = scn.tx_origin(d)
     dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, cfg.n_rays)
-    return _trace_batch(scn, panel, o.x, o.y, dx, dy, cfg)
+    return kernel_counts(scn, panel, o.x, o.y, dx, dy, cfg)
 
 
 def first_bounce(scn: Scene, panel: HsfPanel, o: Vec2, dx, dy):
@@ -863,11 +914,12 @@ class TestSteeredPieces:
                 radius = math.nextafter(radius, 0.0)
             scn = with_receiver(scene, c, radius)
             ray = (scn, panel, o.x, o.y, dx[a:a + 2], dy[a:a + 2], cfg)
-            assert _trace_batch(*ray) == (1, 1, 0)
-            assert _trace_batch(*ray[:-1], replace(cfg, max_bounces=1)) \
-                == (1, 1, 0)
+            assert _trace_batch(*ray)[0].tolist() == [_CAPTURED, _ESCAPED]
+            assert _trace_batch(*ray[:-1], replace(cfg, max_bounces=1))[
+                0].tolist() == [_CAPTURED, _ESCAPED]
             assert _trace_batch(with_receiver(
-                scene, c, math.nextafter(radius, 0.0)), *ray[1:]) == (0, 2, 0)
+                scene, c, math.nextafter(radius, 0.0)), *ray[1:])[
+                0].tolist() == [_ESCAPED, _ESCAPED]
             got, _ = counted_power(scn, panel, 0.0, cfg)
             assert got == dense_counts(scn, panel, 0.0, cfg), a
 
