@@ -33,7 +33,7 @@ def describe(tag: str, rays, fates) -> None:
 def main() -> None:
     cfg = ExperimentConfig()
     scene = cfg.scene()
-    sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
+    sch = build_schedule(Static(), scene.subunit_count - 1,
                          250, cfg.tx_step)
     panel = materialize_normals(sch, scene)
     tracer = TracerConfig(n_rays=N_RAYS, max_bounces=4)

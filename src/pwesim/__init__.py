@@ -1,4 +1,7 @@
-"""Corridor beam-steering simulator: geometry, schedules, tracing, sweeps."""
+"""Corridor beam-steering simulator: geometry, schedules, tracing, sweeps.
+
+The names imported here are the public API.
+"""
 
 from .experiment import (
     ConfigError,
@@ -52,49 +55,3 @@ from .tracer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Antenna",
-    "Biased",
-    "Captured",
-    "Circle",
-    "ConfigError",
-    "Escaped",
-    "ExperimentConfig",
-    "HsfPanel",
-    "LatencyBudget",
-    "MobilityModel",
-    "Ray",
-    "RayFate",
-    "Scene",
-    "Schedule",
-    "Spreading",
-    "Static",
-    "SteeringMode",
-    "SweepResult",
-    "SweepRow",
-    "TraceOutcome",
-    "TracerConfig",
-    "Terminated",
-    "Unbiased",
-    "Vec2",
-    "analytic_received_power",
-    "angle_between",
-    "build_schedule",
-    "csv_text",
-    "dbm_to_watts",
-    "dislocation",
-    "emit_csv",
-    "fan_directions",
-    "load_config",
-    "materialize_normals",
-    "mirror_panel",
-    "optimal_normal",
-    "parse_config",
-    "received_power",
-    "reflect",
-    "run_sweep",
-    "total_latency",
-    "trace_ray",
-    "tx_ray_fan",
-]

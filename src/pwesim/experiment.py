@@ -67,10 +67,10 @@ class ExperimentConfig:
     modes: tuple[str, ...] = ("static", "unbiased", "biased", "baseline")
     bias_p: tuple[float, ...] = (0.1, 0.3, 0.5)
     j_c: int = 0
-    n_rays: int = 100001
-    max_bounces: int = 16
-    spreading: str = "geometric"
-    rx_cone: bool = False
+    n_rays: int = TracerConfig.n_rays
+    max_bounces: int = TracerConfig.max_bounces
+    spreading: str = TracerConfig.spreading.value
+    rx_cone: bool = TracerConfig.rx_cone_gate
     sweep_start: float = 0.0
     sweep_stop: float = 0.5
     sweep_step: float = 0.01
@@ -87,14 +87,11 @@ class ExperimentConfig:
         rx = Antenna(position=Vec2(self.rx_x, self.user_height + self.rx_y_rel),
                      boresight=Vec2(-math.sin(tilt), math.cos(tilt)),
                      beam_halfwidth=self.rx_beam_deg / 2.0 * deg)
-        ceiling = mirror_panel(self.ceiling_height, x_min, x_max,
-                               self.subunit_length)
-        return Scene(ceiling=ceiling, floor_y=0.0,
-                     corridor_x_min=x_min, corridor_x_max=x_max,
+        return Scene(floor_y=0.0, corridor_x_min=x_min, corridor_x_max=x_max,
                      tx=tx, rx=rx,
                      rx_aperture=Circle(rx.position, self.aperture),
-                     user_height=self.user_height,
-                     ceiling_height=self.ceiling_height)
+                     ceiling_height=self.ceiling_height,
+                     subunit_length=self.subunit_length)
 
     def tracer_config(self) -> TracerConfig:
         return TracerConfig(n_rays=self.n_rays, max_bounces=self.max_bounces,
@@ -311,7 +308,7 @@ def _scheme_schedules(cfg: ExperimentConfig, scene: Scene
 
     The baseline curve is the unsteered mirror ceiling and has no schedule.
     """
-    i_max = scene.ceiling.subunit_count - 1
+    i_max = scene.subunit_count - 1
     stop = cfg.sweep_stop
     j_max = 0 if stop == 0 else _ceil_count(stop, cfg.tx_step)
 
@@ -337,7 +334,7 @@ def _scheme_schedules(cfg: ExperimentConfig, scene: Scene
 def _curve_panel(schedule: Schedule | None, scene: Scene) -> HsfPanel:
     """The panel of one curve: its schedule's normals, or the mirror
     ceiling for the baseline, which has no schedule."""
-    return (scene.ceiling if schedule is None
+    return (mirror_panel(scene) if schedule is None
             else materialize_normals(schedule, scene))
 
 

@@ -172,7 +172,8 @@ def _settled(scene: Scene, panel: HsfPanel, origin: Vec2, cfg: TracerConfig,
     """
     c = scene.rx_aperture.center
     scale = (abs(scene.corridor_x_min) + abs(scene.corridor_x_max)
-             + abs(scene.floor_y) + abs(panel.y_height) + abs(c.x) + abs(c.y))
+             + abs(scene.floor_y) + abs(scene.ceiling_height) + abs(c.x)
+             + abs(c.y))
     # both end rays of every piece, as rows
     ends = np.stack((first, last))
     dx, dy = (a[ends] for a in _fan(scene.tx.boresight,
@@ -184,7 +185,7 @@ def _settled(scene: Scene, panel: HsfPanel, origin: Vec2, cfg: TracerConfig,
     dxlo, dxhi = dxlo - 16.0 * _U, dxhi + 16.0 * _U
     dylo, dyhi = dylo - 16.0 * _U, dyhi + 16.0 * _U
     cap0, miss0, out0, in0, known0, tvlo, tvhi = _segment(
-        scene, cfg, origin.x, origin.x, origin.y, panel.y_height,
+        scene, cfg, origin.x, origin.x, origin.y, scene.ceiling_height,
         dxlo, dxhi, dylo, dyhi, scale)
     # the kernel's hit x, ox + t_v * dx
     xlo, xhi = _mul(tvlo, tvhi, dxlo, dxhi)
@@ -207,7 +208,7 @@ def _settled(scene: Scene, panel: HsfPanel, origin: Vec2, cfg: TracerConfig,
     rylo = np.where(across & (ryhi < 0.0), -1.0 - grow, rylo)
     ryhi = np.where(across & (rylo >= 0.0), 1.0 + grow, ryhi)
     cap1, miss1, out1, _, known1, _, _ = _segment(
-        scene, cfg, xlo, xhi, panel.y_height, scene.floor_y,
+        scene, cfg, xlo, xhi, scene.ceiling_height, scene.floor_y,
         rxlo, rxhi, rylo, ryhi, scale)
     return known0 & (cap0 | miss0 & out0 | miss0 & in0 & (
         (rylo >= 0.0) | (ryhi < 0.0) & known1 & (cap1 | miss1 & out1)))
@@ -221,15 +222,15 @@ def _piece_rays(scene: Scene, panel: HsfPanel, origin: Vec2,
     The rays that meet one subunit at step 0 form one contiguous piece of
     the fan, since the hit x falls with the launch angle, in the kernel's
     floats too: its fan's cos and sin are monotone at the fan's spacing,
-    and each rounded operation of the hit x and of `index_at` is monotone
-    in its inputs. The fan is cut
-    at every subunit edge inside its footprint: atan2 estimates the edge's
-    fan position, and the kernel's own step-0 arithmetic (t_v = (H - oy)
-    / dy, x = ox + t_v * dx, `panel.index_at`) on the `_WINDOW` rays on
-    each side of the estimate finds the exact cut. `_settled` certifies
-    all pieces at once; each settled piece is returned as its middle ray,
-    standing for the whole piece, and the kernel decides that ray's fate.
-    The rays of every unsettled piece are returned one by one.
+    and each rounded operation of the hit x and of `scene.index_at` is
+    monotone in its inputs. The fan is cut at every subunit edge inside
+    its footprint: atan2 estimates the edge's fan position, and the
+    kernel's own step-0 arithmetic (t_v = (H - oy) / dy, x = ox + t_v *
+    dx, `scene.index_at`) on the `_WINDOW` rays on each side of the
+    estimate finds the exact cut. `_settled` certifies all pieces at
+    once; each settled piece is returned as its middle ray, standing for
+    the whole piece, and the kernel decides that ray's fate. The rays of
+    every unsettled piece are returned one by one.
 
     Returns None, before allocating any array, when the fan holds fewer
     than 2 * `_WINDOW` + 1 rays per footprint subunit, where the cut
@@ -237,14 +238,14 @@ def _piece_rays(scene: Scene, panel: HsfPanel, origin: Vec2,
     """
     n = cfg.n_rays
     dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, n)
-    rise = panel.y_height - origin.y
-    footprint = rise * (dx[0] / dy[0] - dx[-1] / dy[-1]) / panel.subunit_length
+    rise = scene.ceiling_height - origin.y
+    footprint = rise * (dx[0] / dy[0] - dx[-1] / dy[-1]) / scene.subunit_length
     width = 2 * _WINDOW + 1
     if not n > width * (footprint + 1.0):
         return None
 
     def hit(k):  # the kernel's step-0 subunit of fan rays k
-        return panel.index_at(origin.x + rise / dy[k] * dx[k])
+        return scene.index_at(origin.x + rise / dy[k] * dx[k])
 
     # the hit x falls along the fan: subunits top, top - 1, ..., bottom
     top, bottom = hit(0), hit(n - 1)
@@ -252,8 +253,9 @@ def _piece_rays(scene: Scene, panel: HsfPanel, origin: Vec2,
     tx = scene.tx
     first = math.atan2(tx.boresight.y, tx.boresight.x) - tx.beam_halfwidth
     step = 2.0 * tx.beam_halfwidth / (n - 1)
-    pos = (np.arctan2(rise, panel.x_start + edge * panel.subunit_length
-                      - origin.x) - first) / step
+    pos = (np.arctan2(rise, scene.corridor_x_min
+                      + edge * scene.subunit_length - origin.x)
+           - first) / step
     start = np.clip(np.floor(pos).astype(np.int64) + 1 - _WINDOW,
                     0, n - width)
     above = hit(start[:, None] + np.arange(width)) >= edge[:, None]

@@ -1,19 +1,22 @@
 """Corridor world model: metasurface-coated ceiling, mirror floor, antennas.
 
-The corridor is a 2D vertical slice. The floor lies at y = 0, the ceiling
-panel at y = ceiling_height, and the open ends at corridor_x_min/max let
-rays escape. The mobile transmitter sits at user height on the floor axis
-and fires a fan of rays upward; a wall-mounted receive antenna with a small
-circular aperture collects whatever the ceiling redirects back down.
-The reference corridor's dimensions are the defaults of
-`experiment.ExperimentConfig`.
+The corridor is a 2D vertical slice. The floor lies at y = floor_y, the
+ceiling at y = ceiling_height, and the open ends at corridor_x_min/max let
+rays escape. The ceiling is one fixed grid of subunits of subunit_length,
+from corridor_x_min across the whole corridor, and `Scene` owns it; a
+steering scheme changes only each subunit's virtual normal, which an
+`HsfPanel` holds. The mobile transmitter stands at user height,
+tx.position.y, and fires a fan of rays upward; a wall-mounted receive
+antenna with a small circular aperture collects whatever the ceiling
+redirects back down. The reference corridor's dimensions are the defaults
+of `experiment.ExperimentConfig`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,41 +57,27 @@ class Antenna:
 
 
 class HsfPanel:
-    """Ceiling panel split into fixed-length subunits with virtual normals.
+    """The configured virtual normals of the ceiling's subunits, in index
+    order; the subunits themselves are the scene's grid.
 
-    Each subunit reflects specularly about its own configured normal, which
-    is how the metasurface emulates anomalous reflection. Normals must point
+    Each subunit reflects specularly about its own normal, which is how
+    the metasurface emulates anomalous reflection. Normals must point
     into the corridor (negative y).
     """
 
-    __slots__ = ("y_height", "x_start", "x_end", "subunit_length", "_cols",
-                 "_mirror")
+    __slots__ = ("_cols", "_mirror")
 
-    def __init__(self, y_height: float, x_start: float, x_end: float,
-                 subunit_length: float, normals) -> None:
-        if subunit_length <= 0.0:
-            raise ValueError(f"subunit_length must be > 0, got {subunit_length!r}")
-        if x_end <= x_start:
-            raise ValueError("x_end must exceed x_start")
+    def __init__(self, normals) -> None:
         # one copy, stored as contiguous x and y columns for the tracer
         cols = np.array(np.asarray(normals, dtype=float).T, order="C")
         if cols.ndim != 2 or cols.shape[0] != 2:
             raise ValueError("normals must be an (N, 2) array")
-        expected = _ceil_count(x_end - x_start, subunit_length)
-        if cols.shape[1] != expected:
-            raise ValueError(
-                f"panel spans {x_end - x_start!r} m at {subunit_length!r} m per "
-                f"subunit and needs {expected} normals, got {cols.shape[1]}")
         # written so that a NaN fails both checks
         norms = np.hypot(cols[0], cols[1])
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("every panel normal must be unit-norm")
         if not np.all(cols[1] < 0.0):
             raise ValueError("every panel normal must point downward (y < 0)")
-        self.y_height = float(y_height)
-        self.x_start = float(x_start)
-        self.x_end = float(x_end)
-        self.subunit_length = float(subunit_length)
         cols.flags.writeable = False
         self._cols = cols
         # every normal (0, -1): the tracer counts such a ceiling from
@@ -105,58 +94,39 @@ class HsfPanel:
         (2, N) array of contiguous x and y columns that the tracer reads."""
         return self._cols.T
 
-    def centers(self) -> np.ndarray:
-        """x of every subunit midpoint, in index order."""
-        return (self.x_start
-                + (np.arange(self.subunit_count) + 0.5) * self.subunit_length)
-
-    def index_at(self, x):
-        """Subunit index owning ceiling coordinate x (a float or an array),
-        truncated to whole subunits and clipped to the panel."""
-        i = ((np.asarray(x, dtype=float) - self.x_start)
-             / self.subunit_length).astype(int)
-        # np.clip costs several times these two ufuncs on a kernel step
-        i = np.minimum(np.maximum(i, 0), self.subunit_count - 1)
-        return int(i) if i.ndim == 0 else i
-
     def __repr__(self) -> str:
-        return (f"HsfPanel(y={self.y_height}, x=[{self.x_start}, {self.x_end}], "
-                f"subunits={self.subunit_count} x {self.subunit_length} m)")
-
-
-def mirror_panel(y_height: float, x_start: float, x_end: float,
-                 subunit_length: float) -> HsfPanel:
-    """Panel with every normal straight down: a plain specular ceiling."""
-    count = _ceil_count(x_end - x_start, subunit_length)
-    xy = np.tile([0.0, -1.0], (count, 1))
-    return HsfPanel(y_height, x_start, x_end, subunit_length, xy)
+        return f"HsfPanel(subunits={self.subunit_count})"
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Complete corridor: surfaces, both antennas, and the capture aperture."""
+    """Complete corridor: surfaces, both antennas, the capture aperture, and
+    the ceiling's grid of subunits, which spans the corridor."""
 
-    ceiling: HsfPanel
     floor_y: float
     corridor_x_min: float
     corridor_x_max: float
-    tx: Antenna
+    tx: Antenna  # the user, standing at tx.position.y
     rx: Antenna
     rx_aperture: Circle
-    user_height: float
     ceiling_height: float
+    subunit_length: float
+    subunit_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         # the tracer needs no forward filter on a floor-to-ceiling leg
         if not self.ceiling_height > self.floor_y:
             raise ValueError("the ceiling must lie above the floor")
-        if not self.floor_y < self.user_height < self.ceiling_height:
+        if not self.floor_y < self.tx.position.y < self.ceiling_height:
             raise ValueError(
-                f"user_height must sit strictly between floor and ceiling, "
-                f"got {self.user_height!r} vs {self.floor_y!r} and "
-                f"{self.ceiling_height!r}")
+                f"the transmitter must sit strictly between floor and "
+                f"ceiling, got {self.tx.position.y!r} vs {self.floor_y!r} "
+                f"and {self.ceiling_height!r}")
         if self.corridor_x_max <= self.corridor_x_min:
             raise ValueError("corridor_x_max must exceed corridor_x_min")
+        if not self.subunit_length > 0.0:
+            raise ValueError(
+                f"subunit_length must be > 0, got {self.subunit_length!r}")
         c = self.rx_aperture.center
         r = self.rx_aperture.radius
         if not self.corridor_x_min < c.x < self.corridor_x_max:
@@ -165,15 +135,22 @@ class Scene:
             raise ValueError(
                 "rx_aperture must lie strictly between the floor and the ceiling")
         self.tx_origin(0.0)
-        if self.tx.position.y != self.user_height:
-            raise ValueError("tx antenna must sit at user_height")
-        if self.ceiling.y_height != self.ceiling_height:
-            raise ValueError("ceiling panel height must match ceiling_height")
-        # `index_at` clips to the panel, so a short panel's edge subunits
-        # would silently cover the rest of the corridor
-        if (self.ceiling.x_start, self.ceiling.x_end) != (
-                self.corridor_x_min, self.corridor_x_max):
-            raise ValueError("the ceiling panel must span the corridor")
+        object.__setattr__(self, "subunit_count", _ceil_count(
+            self.corridor_x_max - self.corridor_x_min, self.subunit_length))
+
+    def centers(self) -> np.ndarray:
+        """x of every subunit midpoint, in index order."""
+        return (self.corridor_x_min
+                + (np.arange(self.subunit_count) + 0.5) * self.subunit_length)
+
+    def index_at(self, x):
+        """Subunit index owning ceiling coordinate x (a float or an array),
+        truncated to whole subunits and clipped to the corridor."""
+        i = ((np.asarray(x, dtype=float) - self.corridor_x_min)
+             / self.subunit_length).astype(int)
+        # np.clip costs several times these two ufuncs on a kernel step
+        i = np.minimum(np.maximum(i, 0), self.subunit_count - 1)
+        return int(i) if i.ndim == 0 else i
 
     def tx_origin(self, dislocation: float) -> Vec2:
         """Transmitter position after the user walks `dislocation` meters;
@@ -192,6 +169,19 @@ class Scene:
                 f"dislocation {dislocation!r} puts the transmitter inside"
                 " the receive aperture")
         return origin
+
+
+def _require_subunits(scene: Scene, count: int, what: str) -> None:
+    """`what` (a panel's normals, a schedule's entries) must give one entry
+    per subunit of the scene's ceiling."""
+    if count != scene.subunit_count:
+        raise ValueError(f"{what} covers {count} subunits, the ceiling has"
+                         f" {scene.subunit_count}")
+
+
+def mirror_panel(scene: Scene) -> HsfPanel:
+    """Panel with every normal straight down: a plain specular ceiling."""
+    return HsfPanel(np.tile([0.0, -1.0], (scene.subunit_count, 1)))
 
 
 def fan_directions(boresight: Vec2, beam_halfwidth: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Vec2
-from .scene import HsfPanel, Scene, _ceil_count
+from .scene import HsfPanel, Scene, _ceil_count, _require_subunits
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class Schedule:
     assignment: tuple[int, ...]
     tx_step: float  # meters between adjacent candidate positions
     max_dislocation: float  # meters of user travel the grid covers
-    mode: SteeringMode
 
     def __post_init__(self) -> None:
         self._check_grid()
@@ -59,7 +58,7 @@ class Schedule:
 
     @classmethod
     def _in_range(cls, assignment: tuple[int, ...], j_max: int,
-                  tx_step: float, mode: SteeringMode) -> Schedule:
+                  tx_step: float) -> Schedule:
         """Schedule over positions 0..j_max whose entries lie in [0, j_max].
 
         The caller guarantees the entry bounds, so the O(n) entry scan runs
@@ -70,7 +69,6 @@ class Schedule:
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "tx_step", tx_step)
         object.__setattr__(self, "max_dislocation", j_max * tx_step)
-        object.__setattr__(self, "mode", mode)
         self._check_grid()
         if self.position_count <= j_max:
             self._check_entries()
@@ -135,11 +133,11 @@ def build_schedule(mode: SteeringMode, i_max: int, j_max: int,
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     n = i_max + 1
     if isinstance(mode, Static):
-        return Schedule._in_range((0,) * n, j_max, tx_step, mode)
+        return Schedule._in_range((0,) * n, j_max, tx_step)
     if isinstance(mode, Unbiased):
         base = tuple(range(j_max + 1))
         q, r = divmod(n, j_max + 1)
-        return Schedule._in_range(base * q + base[:r], j_max, tx_step, mode)
+        return Schedule._in_range(base * q + base[:r], j_max, tx_step)
     if isinstance(mode, Biased):
         if mode.j_c > j_max:
             raise ValueError(f"j_c = {mode.j_c} exceeds j_max = {j_max}")
@@ -157,8 +155,7 @@ def build_schedule(mode: SteeringMode, i_max: int, j_max: int,
                 assignment[~anchor] = np.tile(others, reps)[:rest]
     else:
         raise TypeError(f"unknown steering mode: {mode!r}")
-    return Schedule._in_range(tuple(assignment.tolist()), j_max, tx_step,
-                              mode)
+    return Schedule._in_range(tuple(assignment.tolist()), j_max, tx_step)
 
 
 def materialize_normals(schedule: Schedule, scene: Scene) -> HsfPanel:
@@ -166,21 +163,17 @@ def materialize_normals(schedule: Schedule, scene: Scene) -> HsfPanel:
 
     `optimal_normal` on every subunit in one array pass; a valid Scene has
     none of its degenerate cases (every subunit is above user and Rx)."""
-    base = scene.ceiling
-    if len(schedule.assignment) != base.subunit_count:
-        raise ValueError(
-            f"schedule covers {len(schedule.assignment)} subunits, panel has "
-            f"{base.subunit_count}")
+    _require_subunits(scene, len(schedule.assignment), "schedule")
+    height = scene.ceiling_height
     target = scene.rx_aperture.center
-    cx = base.centers()
+    cx = scene.centers()
     # unit incident direction, from the served user (j * tx_step, h)
     ix = cx - np.array(schedule.assignment, dtype=float) * schedule.tx_step
-    iy = base.y_height - scene.user_height
+    iy = height - scene.tx.position.y
     inc = np.hypot(ix, iy)
     # unit desired direction, to the aperture centre; then the half vector
-    ox, oy = target.x - cx, target.y - base.y_height
+    ox, oy = target.x - cx, target.y - height
     out = np.hypot(ox, oy)
     normals = np.stack((ox / out - ix / inc, oy / out - iy / inc))
     normals /= np.hypot(normals[0], normals[1])
-    return HsfPanel(base.y_height, base.x_start, base.x_end,
-                    base.subunit_length, normals.T)
+    return HsfPanel(normals.T)

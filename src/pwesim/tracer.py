@@ -38,7 +38,8 @@ import numpy as np
 
 from .geometry import Ray, Vec2
 from .pieces import _piece_rays
-from .scene import HsfPanel, Scene, _fan, _fan_heads_up, _require_power
+from .scene import (HsfPanel, Scene, _fan, _fan_heads_up, _require_power,
+                    _require_subunits)
 
 # Rays per kernel block. A float64 temporary of one block is 64 KiB, so a
 # step's working set fits a 2 MiB per-core L2, and each temporary stays
@@ -117,17 +118,6 @@ class TraceOutcome:
         return self.captured_power + self.escaped_power + self.terminated_power
 
 
-def _require_ceiling(scene: Scene, panel: HsfPanel) -> None:
-    """The panel must lie on the scene's ceiling: at its height and on its
-    grid of subunits, which `Scene` makes span the corridor."""
-    c = scene.ceiling
-    if ((panel.y_height, panel.x_start, panel.subunit_length,
-         panel.subunit_count) != (c.y_height, c.x_start, c.subunit_length,
-                                  c.subunit_count)):
-        raise ValueError("panel must sit at the scene's ceiling height and"
-                         " share its subunit grid")
-
-
 # Fate codes of `_trace_batch`, one per ray; `_tally` counts them.
 _ESCAPED, _CAPTURED, _TERMINATED = 0, 1, 2
 
@@ -156,13 +146,13 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
     down absorbs it. A shared origin stays a pair of scalars through step
     0, and a step at which every ray lives on is not compacted. After step
     0 a group sits on the ceiling or the floor, so the distance to the
-    other one is span / |dy| >= span > 0 (`Scene` checks the span, the
-    panel sits at the scene's ceiling height, and a reflection keeps
-    |dy| <= 1): it needs no forward filter. Directions must be unit
-    vectors.
+    other one is span / |dy| >= span > 0 (`Scene` checks the span, and a
+    reflection keeps |dy| <= 1): it needs no forward filter. The panel
+    must hold one normal per subunit of the scene's ceiling. Directions
+    must be unit vectors.
     """
-    _require_ceiling(scene, panel)
-    ceil_y, floor_y = panel.y_height, scene.floor_y
+    _require_subunits(scene, panel.subunit_count, "panel")
+    ceil_y, floor_y = scene.ceiling_height, scene.floor_y
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normal_x, normal_y = panel.normals_array().T  # contiguous columns
     rx = scene.rx_aperture.center
@@ -254,7 +244,7 @@ def _trace_batch(scene: Scene, panel: HsfPanel, ox, oy, dx, dy,
                     if inv_sq:
                         cum_len = cum_len[keep]
                 if up:
-                    idx = panel.index_at(ox)
+                    idx = scene.index_at(ox)
                     nx, ny = normal_x[idx], normal_y[idx]
                     k = 2.0 * (dx * nx + dy * ny)
                     dx, dy = dx - k * nx, dy - k * ny
@@ -300,7 +290,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
     capture test, reflection and spreading, one ray at a time in plain
     floats, so a ray's fate and delivered power match the kernel exactly.
     """
-    _require_ceiling(scene, panel)
+    _require_subunits(scene, panel.subunit_count, "panel")
     x_min, x_max = scene.corridor_x_min, scene.corridor_x_max
     normals = panel.normals_array()
     rx = scene.rx_aperture.center
@@ -313,7 +303,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
     length = 0.0
     bounce = 0
     while True:
-        ts = [(panel.y_height - oy) / dy if dy > 0.0 else math.inf,
+        ts = [(scene.ceiling_height - oy) / dy if dy > 0.0 else math.inf,
               (scene.floor_y - oy) / dy if dy < 0.0 else math.inf,
               (x_max - ox) / dx if dx > 0.0 else math.inf,
               (x_min - ox) / dx if dx < 0.0 else math.inf]
@@ -347,7 +337,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
             dy = -dy
             oy = scene.floor_y
         else:
-            nx, ny = normals[panel.index_at(hx)].tolist()
+            nx, ny = normals[scene.index_at(hx)].tolist()
             k = 2.0 * (dx * nx + dy * ny)
             rx_dir, ry_dir = dx - k * nx, dy - k * ny
             norm = float(np.hypot(rx_dir, ry_dir))
@@ -355,7 +345,7 @@ def trace_ray(scene: Scene, panel: HsfPanel, ray: Ray,
             if dy >= 0.0:
                 # reflected back out through the panel: absorbed
                 return Terminated(tuple(path))
-            oy = panel.y_height
+            oy = scene.ceiling_height
         ox = hx
         length += t_surf
         bounce += 1
@@ -466,6 +456,8 @@ def received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     that does not head up and a steered fan too coarse for its pieces to
     pay off are traced ray by ray.
     """
+    # before the cut, which reads the normals by the scene's subunit index
+    _require_subunits(scene, panel.subunit_count, "panel")
     _require_power(total_power)
     tx = scene.tx
     dx, dy = _fan(tx.boresight, tx.beam_halfwidth, cfg.n_rays)
@@ -497,14 +489,15 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     """
     if quad_points < 10:
         raise ValueError(f"quad_points must be >= 10, got {quad_points}")
-    _require_ceiling(scene, panel)
+    _require_subunits(scene, panel.subunit_count, "panel")
     _require_power(total_power)
     tx = scene.tx
     if abs(tx.boresight.x) > 1e-12 or tx.boresight.y <= 0.0:
         raise ValueError("quadrature assumes an upward-pointing transmitter")
     if tx.beam_halfwidth >= math.pi / 2:
         raise ValueError("beam_halfwidth must be < pi/2 for a finite footprint")
-    height = panel.y_height - tx.position.y
+    ceil_y = scene.ceiling_height
+    height = ceil_y - tx.position.y
     x_b = height * math.tan(tx.beam_halfwidth)
     tx_x = tx.position.x + dislocation
 
@@ -519,7 +512,7 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     ix = rel_x / dist
     iy = height / dist
 
-    idx = panel.index_at(xs)
+    idx = scene.index_at(xs)
     normals = panel.normals_array()
     nx = normals[idx, 0]
     ny = normals[idx, 1]
@@ -533,15 +526,15 @@ def analytic_received_power(scene: Scene, panel: HsfPanel, dislocation: float,
     # capture test identical to the tracer's segment test
     rx_c = scene.rx_aperture.center
     mx = rx_c.x - xs
-    my = rx_c.y - panel.y_height
+    my = rx_c.y - ceil_y
     s = mx * rx_dir + my * ry_dir
     h2 = np.maximum(mx * mx + my * my - s * s, 0.0)
     r2 = scene.rx_aperture.radius ** 2
 
     inf = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_floor = np.where(ry_dir < 0.0, (scene.floor_y - panel.y_height)
-                           / ry_dir, inf)
+        t_floor = np.where(ry_dir < 0.0, (scene.floor_y - ceil_y) / ry_dir,
+                           inf)
         t_right = np.where(rx_dir > 0.0, (scene.corridor_x_max - xs)
                            / rx_dir, inf)
         t_left = np.where(rx_dir < 0.0, (scene.corridor_x_min - xs)

@@ -17,7 +17,7 @@ from pwesim.experiment import ExperimentConfig, csv_text, run_sweep
 from pwesim.geometry import Circle, Vec2, angle_between, reflect
 from pwesim.latency import (LatencyBudget, MobilityModel, dislocation,
                             total_latency)
-from pwesim.scene import Antenna, HsfPanel, Scene, mirror_panel
+from pwesim.scene import Antenna, HsfPanel, Scene, _ceil_count
 from pwesim.steering import (Biased, Static, Unbiased, build_schedule,
                              materialize_normals, optimal_normal, _delta_i)
 from pwesim.tracer import (TracerConfig, analytic_received_power,
@@ -75,15 +75,14 @@ def test_criterion_2_biased_shares():
 
 def test_criterion_3_normal_grid():
     scene = ExperimentConfig().scene()
-    panel = scene.ceiling
     target = scene.rx_aperture.center
     worst = 0.0
-    i_grid = np.linspace(0, panel.subunit_count - 1, 50).astype(int)
+    i_grid = np.linspace(0, scene.subunit_count - 1, 50).astype(int)
     j_grid = np.linspace(0, 250, 20).astype(int)
     for i in i_grid:
-        center = Vec2(float(panel.centers()[i]), panel.y_height)
+        center = Vec2(float(scene.centers()[i]), scene.ceiling_height)
         for j in j_grid:
-            user = Vec2(j * 0.002, scene.user_height)
+            user = Vec2(j * 0.002, scene.tx.position.y)
             n = optimal_normal(center, user, target)
             incident = (center - user).normalized()
             desired = (target - center).normalized()
@@ -105,22 +104,20 @@ def test_criterion_4_energy_conservation():
         user_h = rng.uniform(0.3, height - 0.5)
         step = float(rng.choice((0.001, 0.0025, 0.005)))
         x_min, x_max = -offset, length - offset
-        count = mirror_panel(height, x_min, x_max, step).subunit_count
-        tilts = rng.uniform(-1.2, 1.2, size=count)
-        panel = HsfPanel(height, x_min, x_max, step,
-                         np.column_stack((np.sin(tilts), -np.cos(tilts))))
+        tilts = rng.uniform(-1.2, 1.2,
+                            size=_ceil_count(x_max - x_min, step))
+        panel = HsfPanel(np.column_stack((np.sin(tilts), -np.cos(tilts))))
         rx_x = rng.uniform(x_min + 0.3, x_max - 0.3)
         # the disc may come within 1 cm of the ceiling, but not cross it
         radius = rng.uniform(0.02, 0.15)
         rx_y = rng.uniform(user_h + 0.2, height - radius - 0.01)
-        scn = Scene(ceiling=panel, floor_y=0.0, corridor_x_min=x_min,
-                    corridor_x_max=x_max,
+        scn = Scene(floor_y=0.0, corridor_x_min=x_min, corridor_x_max=x_max,
                     tx=Antenna(Vec2(0.0, user_h), Vec2(0.0, 1.0),
                                rng.uniform(0.05, 0.6)),
                     rx=Antenna(Vec2(rx_x, rx_y), Vec2(0.0, 1.0),
                                rng.uniform(0.1, 1.0)),
                     rx_aperture=Circle(Vec2(rx_x, rx_y), radius),
-                    user_height=user_h, ceiling_height=height)
+                    ceiling_height=height, subunit_length=step)
         cfg = TracerConfig(n_rays=2001, max_bounces=int(rng.integers(1, 17)))
         out = received_power(scn, panel, float(rng.uniform(0.0, 0.5)), cfg,
                              total_power=0.1)
@@ -133,7 +130,7 @@ def test_criterion_4_energy_conservation():
 
 def test_criterion_5_oracle_equivalence():
     scene = ExperimentConfig().scene()
-    sch = build_schedule(Static(), scene.ceiling.subunit_count - 1, 250,
+    sch = build_schedule(Static(), scene.subunit_count - 1, 250,
                          0.002)
     panel = materialize_normals(sch, scene)
     cfg = TracerConfig(n_rays=100000, max_bounces=1)

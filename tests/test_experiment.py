@@ -1,13 +1,17 @@
+import inspect
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import pwesim.experiment as experiment
 
 from pwesim.cli import _fmt_trim, main
 from pwesim.experiment import (_KEYS, CSV_HEADER, ConfigError,
                                ExperimentConfig, _fmt, csv_text, dbm_to_watts,
                                emit_csv, load_config, parse_config, run_sweep)
-from pwesim.steering import Biased, materialize_normals
+from pwesim.steering import Biased, build_schedule, materialize_normals
 
 FLOAT_KEYS = [key for key, (_, kind) in _KEYS.items()
               if kind in ("float", "float_list")]
@@ -151,6 +155,91 @@ class TestConfigParsing:
         assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-15)
         assert dbm_to_watts(0.0) == pytest.approx(0.001, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
+
+
+# One config per `err(...)` site of `experiment._validate`, in source
+# order: (text, key the message starts with, a phrase of that site's
+# message). Each text passes every check before its site.
+VALIDATE_SITES = (
+    ("scene.H = -1", "scene.H", "must be > 0"),
+    ("scene.L = 0", "scene.L", "must be > 0"),
+    ("scene.h = 3.0", "scene.h", "strictly between the floor"),
+    ("scene.offset = 0", "scene.offset", "x = 0 strictly inside"),
+    ("scene.rx_x = 10", "scene.rx_x", "strictly inside the corridor"),
+    ("scene.delta_hsf = 0", "scene.delta_hsf", "must be > 0"),
+    ("scene.delta_tx = -0.002", "scene.delta_tx", "must be > 0"),
+    ("scene.aperture = 0", "scene.aperture", "must be > 0"),
+    ("scene.rx_y_rel = 1.95", "scene.aperture", "receive disc"),
+    ("antenna.tx_beam_deg = 180", "antenna.tx_beam_deg", "(0, 180)"),
+    ("antenna.rx_beam_deg = 0", "antenna.rx_beam_deg", "(0, 360]"),
+    ("latency.actuation = -1e-3", "latency.actuation", "must be >= 0"),
+    ("mobility.speed = -1", "mobility.speed", "must be >= 0"),
+    ("steering.modes = ", "steering.modes", "at least one"),
+    ("steering.modes = static,sideways", "steering.modes", "unknown mode"),
+    ("steering.modes = static,static", "steering.modes", "must not repeat"),
+    ("steering.bias_p = ", "steering.bias_p", "at least one p"),
+    ("steering.bias_p = 0.5,1.5", "steering.bias_p", "p must be in"),
+    ("steering.bias_p = 0.1,0.1", "steering.bias_p", "must not repeat"),
+    ("steering.j_c = -1", "steering.j_c", "must be >= 0"),
+    ("tracer.n_rays = 1", "tracer.n_rays", "must be >= 2"),
+    ("tracer.max_bounces = 0", "tracer.max_bounces", "must be >= 1"),
+    ("tracer.spreading = linear", "tracer.spreading", "geometric or"),
+    ("sweep.step = 0", "sweep.step", "must be > 0"),
+    ("sweep.stop = -0.1", "sweep.stop", "must be >= sweep.start"),
+    ("sweep.start = -0.2\nsweep.stop = -0.1", "sweep.start", "must be >= 0"),
+    ("sweep.stop = 4.0", "sweep.stop", "keep the transmitter inside"),
+    ("scene.rx_x = 0.05\nscene.rx_y_rel = 0.02\nscene.aperture = 0.1",
+     "scene.aperture", "must not contain the transmitter"),
+    ("output.csv = ", "output.csv", "must not be empty"),
+)
+
+
+class TestValidate:
+    def test_table_covers_every_site(self):
+        source = inspect.getsource(experiment._validate)
+        assert len(VALIDATE_SITES) == source.count("err(") - 1  # its def
+
+    @pytest.mark.parametrize("text,key,phrase", VALIDATE_SITES)
+    def test_site_names_its_key(self, text, key, phrase):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        assert str(err.value).startswith(f"{key}: ")
+        assert phrase in str(err.value)
+
+    @pytest.mark.parametrize("text,key,phrase", [
+        VALIDATE_SITES[i] for i in (2, 8, 14, 26)])
+    def test_sweep_exits_2(self, capsys, tmp_path, text, key, phrase):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(height=st.floats(0.5, 5.0), length=st.floats(0.5, 10.0),
+           fracs=st.tuples(*[st.floats(-0.05, 1.05)] * 4),
+           aperture=st.floats(0.001, 0.5), delta_hsf=st.floats(1e-3, 1.0))
+    def test_accepted_config_builds_its_scene(self, height, length, fracs,
+                                              aperture, delta_hsf):
+        """Every geometry that `parse_config` accepts builds a `Scene`,
+        whose checks (the transmitter between floor and ceiling among
+        them) then never fail at run time. The transmitter, the open ends
+        and the receiver are drawn in and just outside the corridor."""
+        user, offset, rx_x, rx_y = (f * span for f, span in zip(
+            fracs, (height, length, length, height)))
+        text = (f"scene.H = {height!r}\nscene.L = {length!r}\n"
+                f"scene.offset = {offset!r}\nscene.h = {user!r}\n"
+                f"scene.rx_x = {rx_x - offset!r}\n"
+                f"scene.rx_y_rel = {rx_y - user!r}\n"
+                f"scene.aperture = {aperture!r}\n"
+                f"scene.delta_hsf = {delta_hsf!r}\nsweep.stop = 0\n")
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        scene = cfg.scene()
+        assert scene.tx.position.y == cfg.user_height
 
 
 @pytest.fixture(scope="module")
@@ -342,14 +431,17 @@ class TestCli:
         built = []
 
         def spy(schedule, scene):
-            built.append(schedule.mode)
+            built.append(schedule.assignment)
             return materialize_normals(schedule, scene)
 
         monkeypatch.setattr("pwesim.experiment.materialize_normals", spy)
         out = tmp_path / "paths.csv"
         assert main(["trace", "--scheme", "biased", "--bias-p", "0.3",
                      "--rays", "5", "--paths", str(out)]) == 0
-        assert built == [Biased(0.3, 0)]
+        scene = ExperimentConfig().scene()
+        want = build_schedule(Biased(0.3, 0), scene.subunit_count - 1, 250,
+                              0.002)
+        assert built == [want.assignment]
 
     def test_trace_unlisted_scheme_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from pwesim.experiment import ExperimentConfig
 from pwesim.geometry import Circle, Vec2
-from pwesim.scene import (Antenna, HsfPanel, Scene, _ceil_count,
-                          fan_directions, mirror_panel, tx_ray_fan)
+from pwesim.scene import (Antenna, HsfPanel, _ceil_count, fan_directions,
+                          mirror_panel, tx_ray_fan)
 
 DEG = math.pi / 180.0
 
@@ -41,50 +42,52 @@ class TestDefaultScene:
         assert scene.rx_aperture.radius == 0.08
 
     def test_ceiling_panel_is_mirror(self, scene):
-        panel = scene.ceiling
-        assert panel.subunit_count == 5000
-        assert panel.y_height == 3.0
+        panel = mirror_panel(scene)
+        assert scene.subunit_count == panel.subunit_count == 5000
+        assert scene.subunit_length == 0.001
         assert panel.normals_array()[0].tolist() == [0.0, -1.0]
         assert panel.normals_array()[4999].tolist() == [0.0, -1.0]
 
 
-class TestHsfPanel:
+class TestSubunitGrid:
     def test_subunit_centers(self, scene):
-        centers = scene.ceiling.centers()
+        centers = scene.centers()
         assert centers.shape == (5000,)
         assert centers[0] == pytest.approx(-0.9995, abs=1e-12)
         assert centers[2500] == pytest.approx(1.5005, abs=1e-12)
 
     def test_centers_strictly_increasing(self, scene):
-        centers = scene.ceiling.centers()
+        centers = scene.centers()
         assert np.all(np.diff(centers) > 0)
         assert centers[11] - centers[10] == pytest.approx(0.001, abs=1e-12)
 
     def test_index_at_clips(self, scene):
-        panel = scene.ceiling
-        assert panel.index_at(-1.0) == 0
-        assert panel.index_at(-5.0) == 0
-        assert panel.index_at(4.0) == 4999
-        assert panel.index_at(-0.9995) == 0
-        assert panel.index_at(1.5005) == 2500
-        assert type(panel.index_at(1.5005)) is int
+        assert scene.index_at(-1.0) == 0
+        assert scene.index_at(-5.0) == 0
+        assert scene.index_at(4.0) == 4999
+        assert scene.index_at(-0.9995) == 0
+        assert scene.index_at(1.5005) == 2500
+        assert type(scene.index_at(1.5005)) is int
 
     def test_index_at_owns_its_center(self, scene):
-        panel = scene.ceiling
-        idx = panel.index_at(panel.centers())
-        assert idx.tolist() == list(range(panel.subunit_count))
+        idx = scene.index_at(scene.centers())
+        assert idx.tolist() == list(range(scene.subunit_count))
 
     @given(xs=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=50),
            step=st.sampled_from((0.001, 0.0025, 0.3, 1.0 / 3.0)))
-    def test_index_at_array_matches_scalar(self, xs, step):
+    def test_index_at_array_matches_scalar(self, scene, xs, step):
         # points past both ends clip to the first and last subunit
-        panel = mirror_panel(3.0, -1.0, 4.0, step)
-        got = panel.index_at(np.array(xs))
-        assert got.tolist() == [panel.index_at(x) for x in xs]
+        scn = replace(scene, subunit_length=step)
+        got = scn.index_at(np.array(xs))
+        assert got.tolist() == [scn.index_at(x) for x in xs]
 
+
+class TestHsfPanel:
     def test_count_follows_span(self):
-        panel = mirror_panel(3.0, 0.0, 1.0, 0.3)  # 1 / 0.3 -> 4 subunits
-        assert panel.subunit_count == 4
+        # a 1 m corridor of 0.3 m subunits: 1 / 0.3 -> 4 subunits
+        scn = ExperimentConfig(corridor_length=1.0, tx_offset=0.5, rx_x=0.3,
+                               subunit_length=0.3).scene()
+        assert scn.subunit_count == mirror_panel(scn).subunit_count == 4
 
     @pytest.mark.parametrize("step", (0.001, 0.002, 0.0025, 0.01, 0.3,
                                       1.0 / 3.0))
@@ -95,28 +98,24 @@ class TestHsfPanel:
         assert _ceil_count(k * step, step) == k
         assert _ceil_count((k + 0.5) * step, step) == k + 1
 
-    def test_normal_count_must_match(self):
-        with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, -1.0]]))
-
     def test_normals_must_be_unit_and_downward(self):
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, -2.0], [0.0, -1.0]]))
+            HsfPanel(np.array([[0.0, -2.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([[0.0, 1.0], [0.0, -1.0]]))
+            HsfPanel(np.array([[0.0, 1.0], [0.0, -1.0]]))
 
     @pytest.mark.parametrize("bad", ([math.nan, -1.0], [0.0, math.nan],
                                      [math.inf, -1.0], [0.0, -math.inf]))
     def test_non_finite_normals_rejected(self, bad):
         with pytest.raises(ValueError, match="unit-norm|downward"):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([bad, [0.0, -1.0]]))
+            HsfPanel(np.array([bad, [0.0, -1.0]]))
 
     def test_normals_must_be_n_by_2(self):
         with pytest.raises(ValueError):
-            HsfPanel(3.0, 0.0, 1.0, 0.5, np.array([0.0, -1.0, 0.0, -1.0]))
+            HsfPanel(np.array([0.0, -1.0, 0.0, -1.0]))
 
     def test_normals_array_read_only(self, scene):
-        arr = scene.ceiling.normals_array()
+        arr = mirror_panel(scene).normals_array()
         with pytest.raises(ValueError):
             arr[0, 0] = 5.0
 
@@ -124,7 +123,7 @@ class TestHsfPanel:
         # one copy of the input, as contiguous x and y columns; the (N, 2)
         # view and its transpose both read that copy
         normals = np.tile([0.0, -1.0], (2, 1))
-        panel = HsfPanel(3.0, 0.0, 1.0, 0.5, normals)
+        panel = HsfPanel(normals)
         normals[0] = (1.0, 0.0)
         cols = panel.normals_array().T
         assert cols.shape == (2, 2) and cols.flags.c_contiguous
@@ -135,36 +134,23 @@ class TestHsfPanel:
 
 class TestSceneValidation:
     def test_user_height_must_be_inside(self, scene):
-        with pytest.raises(ValueError):
-            Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,
-                  corridor_x_max=4.0, tx=Antenna(Vec2(0.0, 3.5),
-                                                 Vec2(0.0, 1.0), 0.25),
-                  rx=scene.rx, rx_aperture=scene.rx_aperture,
-                  user_height=3.5, ceiling_height=3.0)
+        # the user stands at the transmitter's height, here above the ceiling
+        with pytest.raises(ValueError, match="transmitter must sit"):
+            replace(scene, tx=Antenna(Vec2(0.0, 3.5), Vec2(0.0, 1.0), 0.25))
 
     def test_user_height_must_clear_the_floor(self, scene):
         # a transmitter below a raised floor, though above y = 0
-        with pytest.raises(ValueError, match="user_height"):
-            Scene(ceiling=scene.ceiling, floor_y=1.5, corridor_x_min=-1.0,
-                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
-                  rx_aperture=scene.rx_aperture,
-                  user_height=1.0, ceiling_height=3.0)
+        with pytest.raises(ValueError, match="transmitter must sit"):
+            replace(scene, floor_y=1.5)
 
     def test_aperture_must_be_inside(self, scene):
         with pytest.raises(ValueError):
-            Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,
-                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
-                  rx_aperture=Circle(Vec2(9.0, 2.4), 0.05),
-                  user_height=1.0, ceiling_height=3.0)
+            replace(scene, rx_aperture=Circle(Vec2(9.0, 2.4), 0.05))
 
     @pytest.mark.parametrize("y", (2.95, 0.05))
     def test_aperture_must_not_cross_ceiling_or_floor(self, scene, y):
         def build(radius):
-            return Scene(ceiling=scene.ceiling, floor_y=0.0,
-                         corridor_x_min=-1.0, corridor_x_max=4.0,
-                         tx=scene.tx, rx=scene.rx,
-                         rx_aperture=Circle(Vec2(3.6, y), radius),
-                         user_height=1.0, ceiling_height=3.0)
+            return replace(scene, rx_aperture=Circle(Vec2(3.6, y), radius))
         with pytest.raises(ValueError, match="between the floor and the"):
             build(0.08)
         assert build(0.04).rx_aperture.radius == 0.04
@@ -173,31 +159,18 @@ class TestSceneValidation:
         # the tracer rests on a floor-to-ceiling leg of positive length
         for floor_y in (3.0, 3.5, math.nan):
             with pytest.raises(ValueError, match="ceiling must lie above"):
-                Scene(ceiling=scene.ceiling, floor_y=floor_y,
-                      corridor_x_min=-1.0, corridor_x_max=4.0, tx=scene.tx,
-                      rx=scene.rx, rx_aperture=scene.rx_aperture,
-                      user_height=1.0, ceiling_height=3.0)
+                replace(scene, floor_y=floor_y)
 
-    @pytest.mark.parametrize("x_start, x_end", ((-1.0, 0.0), (0.0, 4.0),
-                                                (-1.0, 5.0), (-2.0, 4.0)))
-    def test_ceiling_must_span_the_corridor(self, scene, x_start, x_end):
-        # a panel short of an open end used to pass, and its edge subunit
-        # then reflected every ray beyond it
-        panel = mirror_panel(3.0, x_start, x_end, 0.001)
-        with pytest.raises(ValueError, match="span the corridor"):
-            Scene(ceiling=panel, floor_y=0.0, corridor_x_min=-1.0,
-                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
-                  rx_aperture=scene.rx_aperture,
-                  user_height=1.0, ceiling_height=3.0)
+    @pytest.mark.parametrize("step", (0.0, -0.001, math.nan))
+    def test_subunit_length_must_be_positive(self, scene, step):
+        with pytest.raises(ValueError, match="subunit_length"):
+            replace(scene, subunit_length=step)
 
     def test_aperture_must_not_contain_transmitter(self, scene):
         # a disc around the transmitter captured rays at a negative entry
         # distance: 22.7 W from a 0.1 W fan under inverse-square spreading
         with pytest.raises(ValueError, match="transmitter"):
-            Scene(ceiling=scene.ceiling, floor_y=0.0, corridor_x_min=-1.0,
-                  corridor_x_max=4.0, tx=scene.tx, rx=scene.rx,
-                  rx_aperture=Circle(Vec2(0.05, 1.02), 0.1),
-                  user_height=1.0, ceiling_height=3.0)
+            replace(scene, rx_aperture=Circle(Vec2(0.05, 1.02), 0.1))
 
     def test_tx_origin(self, scene):
         assert scene.tx_origin(0.25) == Vec2(0.25, 1.0)

@@ -143,18 +143,18 @@ class TestBuildSchedule:
 
 class TestScheduleType:
     def test_position_count_zero_span(self):
-        sch = Schedule((0, 0), 0.002, 0.0, Static())
+        sch = Schedule((0, 0), 0.002, 0.0)
         assert sch.position_count == 1
 
     def test_position_count_rounds_up(self):
-        sch = Schedule((0,), 0.002, 0.5, Static())
+        sch = Schedule((0,), 0.002, 0.5)
         assert sch.position_count == 251
 
     def test_entries_validated(self):
         with pytest.raises(ValueError):
-            Schedule((0, 3), 0.002, 0.002, Static())  # only j in {0, 1} fit
+            Schedule((0, 3), 0.002, 0.002)  # only j in {0, 1} fit
         with pytest.raises(ValueError):
-            Schedule((-1,), 0.002, 0.5, Static())
+            Schedule((-1,), 0.002, 0.5)
 
     def test_bias_p_range(self):
         with pytest.raises(ValueError):
@@ -168,23 +168,23 @@ class TestScheduleType:
 class TestMaterializeNormals:
     def test_panel_shape_and_orientation(self):
         scene = ExperimentConfig().scene()
-        sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
+        sch = build_schedule(Static(), scene.subunit_count - 1,
                              250, 0.002)
         panel = materialize_normals(sch, scene)
-        assert panel.subunit_count == scene.ceiling.subunit_count
+        assert panel.subunit_count == scene.subunit_count
         arr = panel.normals_array()
         assert np.all(arr[:, 1] < 0.0)
         assert np.max(np.abs(np.hypot(arr[:, 0], arr[:, 1]) - 1.0)) < 1e-12
 
     def test_static_normals_redirect_onto_target(self):
         scene = ExperimentConfig().scene()
-        sch = build_schedule(Static(), scene.ceiling.subunit_count - 1,
+        sch = build_schedule(Static(), scene.subunit_count - 1,
                              250, 0.002)
         panel = materialize_normals(sch, scene)
-        user = Vec2(0.0, scene.user_height)
+        user = scene.tx.position
         target = scene.rx_aperture.center
         for i in (0, 1234, 2500, 4999):
-            center = Vec2(float(panel.centers()[i]), panel.y_height)
+            center = Vec2(float(scene.centers()[i]), scene.ceiling_height)
             incident = (center - user).normalized()
             desired = (target - center).normalized()
             r = reflect(incident, Vec2(*panel.normals_array()[i]))
@@ -207,7 +207,7 @@ class TestMaterializeNormals:
                                     offset_frac, rx_frac, rx_rel_frac,
                                     delta_hsf, tx_step, j_max, data, kind):
         """Every subunit's normal is optimal_normal's, for the user at
-        (j * tx_step, h) and the subunit midpoint x_start + (i + 0.5) dx."""
+        (j * tx_step, h) and the subunit midpoint x_min + (i + 0.5) dx."""
         user_h = user_frac * height
         offset = offset_frac * length
         cfg = ExperimentConfig(
@@ -217,7 +217,6 @@ class TestMaterializeNormals:
             rx_y_rel=0.06 + rx_rel_frac * (height - user_h - 0.12),
             subunit_length=delta_hsf, tx_step=tx_step, aperture=0.05)
         scene = cfg.scene()
-        base = scene.ceiling
         if kind == "static":
             mode = Static()
         elif kind == "unbiased":
@@ -225,14 +224,15 @@ class TestMaterializeNormals:
         else:
             mode = Biased(data.draw(st.floats(0.01, 0.99)),
                           data.draw(st.integers(0, j_max)))
-        sch = build_schedule(mode, base.subunit_count - 1, j_max, tx_step)
+        sch = build_schedule(mode, scene.subunit_count - 1, j_max, tx_step)
         got = materialize_normals(sch, scene).normals_array()
         target = scene.rx_aperture.center
         want = np.array([
             (n.x, n.y) for n in (
                 optimal_normal(
-                    Vec2(base.x_start + (i + 0.5) * base.subunit_length,
-                         base.y_height),
+                    Vec2(scene.corridor_x_min
+                         + (i + 0.5) * scene.subunit_length,
+                         scene.ceiling_height),
                     Vec2(j * tx_step, user_h), target)
                 for i, j in enumerate(sch.assignment))])
         assert np.max(np.abs(got - want)) <= 1e-15

@@ -8,8 +8,8 @@ from image_source import image_source_counts
 
 from pwesim.experiment import ExperimentConfig, dbm_to_watts, run_sweep
 from pwesim.geometry import Circle, Ray, Vec2
-from pwesim.scene import (Antenna, HsfPanel, Scene, fan_directions,
-                          mirror_panel, tx_ray_fan)
+from pwesim.scene import (Antenna, HsfPanel, Scene, _ceil_count,
+                          fan_directions, mirror_panel, tx_ray_fan)
 from pwesim.steering import Biased, Static, Unbiased, build_schedule, \
     materialize_normals
 from pwesim.tracer import (_BLOCK, _CAPTURED, _ESCAPED, _TERMINATED,
@@ -34,14 +34,14 @@ def scene():
 
 @pytest.fixture(scope="module")
 def static_panel(scene):
-    sch = build_schedule(Static(), scene.ceiling.subunit_count - 1, 250,
+    sch = build_schedule(Static(), scene.subunit_count - 1, 250,
                          0.002)
     return materialize_normals(sch, scene)
 
 
 @pytest.fixture(scope="module")
 def unbiased_panel(scene):
-    sch = build_schedule(Unbiased(), scene.ceiling.subunit_count - 1, 250,
+    sch = build_schedule(Unbiased(), scene.subunit_count - 1, 250,
                          0.002)
     return materialize_normals(sch, scene)
 
@@ -65,7 +65,7 @@ class TestTraceRay:
     def test_mirror_zigzag_escapes_right(self, scene):
         # 45 degree launch: (0,1) -> ceiling (2,3) -> right edge (4,1)
         d = Vec2(1.0, 1.0).normalized()
-        fate = trace_ray(scene, scene.ceiling, Ray(Vec2(0.0, 1.0), d),
+        fate = trace_ray(scene, mirror_panel(scene), Ray(Vec2(0.0, 1.0), d),
                          TracerConfig(n_rays=2, max_bounces=8))
         assert isinstance(fate, Escaped)
         assert len(fate.path) == 3
@@ -76,7 +76,7 @@ class TestTraceRay:
 
     def test_direct_hit_through_aperture(self, scene):
         ray = Ray(Vec2(3.6, 1.0), Vec2(0.0, 1.0), power=0.25)
-        fate = trace_ray(scene, scene.ceiling, ray,
+        fate = trace_ray(scene, mirror_panel(scene), ray,
                          TracerConfig(n_rays=2, max_bounces=8))
         assert isinstance(fate, Captured)
         assert fate.power == 0.25  # geometric mode: full strength
@@ -88,14 +88,14 @@ class TestTraceRay:
         ray = Ray(Vec2(3.6, 1.0), Vec2(0.0, 1.0), power=0.25)
         cfg = TracerConfig(n_rays=2, max_bounces=8,
                            spreading=Spreading.INVERSE_SQUARE)
-        fate = trace_ray(scene, scene.ceiling, ray, cfg)
+        fate = trace_ray(scene, mirror_panel(scene), ray, cfg)
         assert isinstance(fate, Captured)
         s_entry = 1.4 - 0.08
         assert fate.power == pytest.approx(0.25 / s_entry ** 2, rel=1e-12)
 
     def test_bounce_budget_terminates_at_surface(self, scene):
         ray = Ray(Vec2(1.0, 1.0), Vec2(0.0, 1.0))
-        fate = trace_ray(scene, scene.ceiling, ray,
+        fate = trace_ray(scene, mirror_panel(scene), ray,
                          TracerConfig(n_rays=2, max_bounces=1))
         assert isinstance(fate, Terminated)
         path = [(p.x, p.y) for p in fate.path]
@@ -105,8 +105,7 @@ class TestTraceRay:
         # a 60-degree virtual normal turns the vertical ray back upward;
         # the panel cannot transmit, so the ray ends at the ceiling
         tilted = Vec2(math.sin(math.radians(60)), -0.5)
-        panel = HsfPanel(3.0, -1.0, 4.0, 0.001,
-                         np.tile((tilted.x, tilted.y), (5000, 1)))
+        panel = HsfPanel(np.tile((tilted.x, tilted.y), (5000, 1)))
         ray = Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0))
         fate = trace_ray(scene, panel, ray,
                          TracerConfig(n_rays=2, max_bounces=8))
@@ -116,7 +115,7 @@ class TestTraceRay:
 
     def test_left_escape(self, scene):
         d = Vec2(-1.0, 1.0).normalized()
-        fate = trace_ray(scene, scene.ceiling, Ray(Vec2(0.0, 1.0), d),
+        fate = trace_ray(scene, mirror_panel(scene), Ray(Vec2(0.0, 1.0), d),
                          TracerConfig(n_rays=2, max_bounces=8))
         assert isinstance(fate, Escaped)
         assert fate.path[-1].x == pytest.approx(-1.0, abs=1e-12)
@@ -135,8 +134,9 @@ class TestReceivedPower:
         scn = ExperimentConfig(rx_x=1.0, rx_y_rel=0.05).scene()
         cfg = TracerConfig(n_rays=11)
         with pytest.raises(ValueError, match="aperture"):
-            received_power(scn, scn.ceiling, 1.0, cfg, total_power=0.1)
-        out = received_power(scn, scn.ceiling, 0.9, cfg, total_power=0.1)
+            received_power(scn, mirror_panel(scn), 1.0, cfg, total_power=0.1)
+        out = received_power(scn, mirror_panel(scn), 0.9, cfg,
+                             total_power=0.1)
         assert out.total_power == pytest.approx(0.1, rel=1e-12)
 
     def test_power_ledger_balances(self, scene, unbiased_panel):
@@ -183,15 +183,15 @@ class TestReceivedPower:
     @pytest.mark.parametrize("power", (-1.0, math.nan, math.inf))
     def test_bad_power_rejected(self, scene, power):
         with pytest.raises(ValueError, match="total_power must be finite"):
-            received_power(scene, scene.ceiling, 0.0,
+            received_power(scene, mirror_panel(scene), 0.0,
                            TracerConfig(n_rays=11), total_power=power)
 
     def test_wider_aperture_captures_more(self):
         small = ExperimentConfig(aperture=0.05).scene()
         large = ExperimentConfig(aperture=0.10).scene()
         cfg = TracerConfig(n_rays=20001, max_bounces=16)
-        got_small = received_power(small, small.ceiling, 0.0, cfg, 0.1)
-        got_large = received_power(large, large.ceiling, 0.0, cfg, 0.1)
+        got_small = received_power(small, mirror_panel(small), 0.0, cfg, 0.1)
+        got_large = received_power(large, mirror_panel(large), 0.0, cfg, 0.1)
         assert got_small.captured_power < got_large.captured_power
 
 
@@ -200,7 +200,7 @@ class TestRxConeGate:
         # the all-mirror ceiling folds the near-vertical fan back down at
         # near-vertical angles, far outside the receiver cone
         gated = TracerConfig(n_rays=5001, max_bounces=16, rx_cone_gate=True)
-        out = received_power(scene, scene.ceiling, 0.0, gated, 0.1)
+        out = received_power(scene, mirror_panel(scene), 0.0, gated, 0.1)
         assert out.captured_power == 0.0
 
     def test_gate_keeps_steered_arrivals(self, scene, static_panel):
@@ -210,14 +210,11 @@ class TestRxConeGate:
 
     def test_full_cone_gate_changes_nothing(self, scene):
         wide_rx = Antenna(scene.rx.position, scene.rx.boresight, math.pi)
-        wide = Scene(ceiling=scene.ceiling, floor_y=0.0,
-                     corridor_x_min=-1.0, corridor_x_max=4.0,
-                     tx=scene.tx, rx=wide_rx, rx_aperture=scene.rx_aperture,
-                     user_height=1.0, ceiling_height=3.0)
-        plain = received_power(wide, wide.ceiling, 0.0,
+        wide = replace(scene, rx=wide_rx)
+        plain = received_power(wide, mirror_panel(wide), 0.0,
                                TracerConfig(n_rays=3001, max_bounces=16), 0.1)
         gated = received_power(
-            wide, wide.ceiling, 0.0,
+            wide, mirror_panel(wide), 0.0,
             TracerConfig(n_rays=3001, max_bounces=16, rx_cone_gate=True), 0.1)
         assert gated.captured_power == plain.captured_power
 
@@ -242,7 +239,7 @@ class TestQuadratureOracle:
     def test_mirror_baseline_is_single_bounce_dark(self, scene):
         # one bounce off a flat mirror cannot reach the aperture from the
         # default fan, so the single-bounce integral vanishes
-        quad = analytic_received_power(scene, scene.ceiling, 0.0, 5000,
+        quad = analytic_received_power(scene, mirror_panel(scene), 0.0, 5000,
                                        total_power=0.1)
         assert quad == 0.0
 
@@ -259,58 +256,49 @@ class TestQuadratureOracle:
     def test_requires_upward_transmitter(self, scene, static_panel):
         sideways = Antenna(Vec2(0.0, 1.0), Vec2(1.0, 0.0),
                            scene.tx.beam_halfwidth)
-        tilted = Scene(ceiling=scene.ceiling, floor_y=0.0,
-                       corridor_x_min=-1.0, corridor_x_max=4.0,
-                       tx=sideways, rx=scene.rx,
-                       rx_aperture=scene.rx_aperture,
-                       user_height=1.0, ceiling_height=3.0)
+        tilted = replace(scene, tx=sideways)
         with pytest.raises(ValueError):
             analytic_received_power(tilted, static_panel, 0.0, 1000)
 
     def test_requires_finite_footprint(self, scene, static_panel):
         wide_tx = Antenna(Vec2(0.0, 1.0), Vec2(0.0, 1.0), math.pi / 2)
-        wide = Scene(ceiling=scene.ceiling, floor_y=0.0,
-                     corridor_x_min=-1.0, corridor_x_max=4.0,
-                     tx=wide_tx, rx=scene.rx, rx_aperture=scene.rx_aperture,
-                     user_height=1.0, ceiling_height=3.0)
+        wide = replace(scene, tx=wide_tx)
         with pytest.raises(ValueError):
             analytic_received_power(wide, static_panel, 0.0, 1000)
 
 
-def random_scene(rng: np.random.Generator) -> Scene:
-    """Corridor of random size whose ceiling normals tilt at random."""
+def random_scene(rng: np.random.Generator) -> tuple[Scene, HsfPanel]:
+    """Corridor of random size, and a panel whose normals tilt at random."""
     height = rng.uniform(2.0, 4.0)
     length = rng.uniform(3.0, 8.0)
     offset = rng.uniform(0.5, 1.5)
     user_h = rng.uniform(0.3, height - 0.5)
     step = rng.choice((0.001, 0.0025, 0.005))
     x_min, x_max = -offset, length - offset
-    count = mirror_panel(height, x_min, x_max, step).subunit_count
-    tilts = rng.uniform(-1.2, 1.2, size=count)
-    normals = np.column_stack((np.sin(tilts), -np.cos(tilts)))
-    panel = HsfPanel(height, x_min, x_max, step, normals)
+    tilts = rng.uniform(-1.2, 1.2, size=_ceil_count(x_max - x_min, step))
+    panel = HsfPanel(np.column_stack((np.sin(tilts), -np.cos(tilts))))
     rx_x = rng.uniform(x_min + 0.3, x_max - 0.3)
     # the disc may come within 1 cm of the ceiling, but not cross it
     radius = rng.uniform(0.02, 0.15)
     rx_y = rng.uniform(user_h + 0.2, height - radius - 0.01)
-    return Scene(ceiling=panel, floor_y=0.0, corridor_x_min=x_min,
-                 corridor_x_max=x_max,
-                 tx=Antenna(Vec2(0.0, user_h), Vec2(0.0, 1.0),
-                            rng.uniform(0.05, 0.6)),
-                 rx=Antenna(Vec2(rx_x, rx_y), Vec2(0.0, 1.0),
-                            rng.uniform(0.1, 1.0)),
-                 rx_aperture=Circle(Vec2(rx_x, rx_y), radius),
-                 user_height=user_h, ceiling_height=height)
+    scn = Scene(floor_y=0.0, corridor_x_min=x_min, corridor_x_max=x_max,
+                tx=Antenna(Vec2(0.0, user_h), Vec2(0.0, 1.0),
+                           rng.uniform(0.05, 0.6)),
+                rx=Antenna(Vec2(rx_x, rx_y), Vec2(0.0, 1.0),
+                           rng.uniform(0.1, 1.0)),
+                rx_aperture=Circle(Vec2(rx_x, rx_y), radius),
+                ceiling_height=height, subunit_length=step)
+    return scn, panel
 
 
 class TestConservationRandomized:
     def test_random_scenes_balance(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
-            scn = random_scene(rng)
+            scn, panel = random_scene(rng)
             cfg = TracerConfig(n_rays=501,
                                max_bounces=int(rng.integers(1, 12)))
-            out = received_power(scn, scn.ceiling, 0.0, cfg, total_power=0.1)
+            out = received_power(scn, panel, 0.0, cfg, total_power=0.1)
             assert out.total_power == pytest.approx(0.1, rel=1e-12)
 
 
@@ -331,12 +319,11 @@ class TestScalarReference:
                                          unbiased_panel, panel_kind, seed, d,
                                          max_bounces, spreading, cone):
         if panel_kind == "random":
-            scn = random_scene(np.random.default_rng(seed))
-            panel = scn.ceiling
+            scn, panel = random_scene(np.random.default_rng(seed))
         else:
             scn = scene
             panel = {"static": static_panel, "unbiased": unbiased_panel,
-                     "mirror": scene.ceiling}[panel_kind]
+                     "mirror": mirror_panel(scene)}[panel_kind]
         cfg = TracerConfig(n_rays=2, max_bounces=max_bounces,
                            spreading=spreading, rx_cone_gate=cone)
         fan = tx_ray_fan(scn, d, 41, 0.1)
@@ -372,12 +359,11 @@ class TestScalarReference:
         with the fsum of the gains."""
         rng = np.random.default_rng(seed)
         if panel_kind == "random":
-            scn = random_scene(rng)
-            panel = scn.ceiling
+            scn, panel = random_scene(rng)
         else:
             scn = scene
             panel = {"static": static_panel, "unbiased": unbiased_panel,
-                     "mirror": scene.ceiling}[panel_kind]
+                     "mirror": mirror_panel(scene)}[panel_kind]
         n = 200
         ox = rng.uniform(scn.corridor_x_min, scn.corridor_x_max, n)
         oy = rng.uniform(scn.floor_y, scn.ceiling_height, n)
@@ -415,7 +401,7 @@ class TestKernelContract:
         fan size with no rounding, and the spreading changes no fate."""
         rng = np.random.default_rng(11)
         for _ in range(8):
-            scn = random_scene(rng)
+            scn, panel = random_scene(rng)
             n = 301
             dirs = fan_directions(scn.tx.boresight, scn.tx.beam_halfwidth, n)
             d = float(rng.uniform(0.0, 0.5))
@@ -425,7 +411,7 @@ class TestKernelContract:
                 cfg = TracerConfig(n_rays=n, max_bounces=max_bounces,
                                    spreading=spreading)
                 counts[spreading] = kernel_counts(
-                    scn, scn.ceiling, scn.tx.position.x + d,
+                    scn, panel, scn.tx.position.x + d,
                     scn.tx.position.y, dirs[:, 0], dirs[:, 1], cfg)
             captured, escaped, terminated = counts[Spreading.GEOMETRIC]
             assert all(type(c) is int
@@ -443,7 +429,7 @@ class TestKernelContract:
         a block boundary, get exactly the fates and gains of their rays
         traced one by one, and the counts are theirs, under inverse-square
         spreading with the fsum of the gains."""
-        panel = scene.ceiling if kind == "mirror" else unbiased_panel
+        panel = mirror_panel(scene) if kind == "mirror" else unbiased_panel
         dirs = fan_directions(scene.tx.boresight, scene.tx.beam_halfwidth,
                               2 * _BLOCK + 1)
         # at d = 0.05 the unbiased panel captures rays in all three blocks
@@ -475,9 +461,9 @@ class TestKernelContract:
         s = math.sqrt(0.5)
         ray = Ray(Vec2(3.0, 2.0), Vec2(s, s))
         cfg = TracerConfig(n_rays=2, max_bounces=1)
-        assert isinstance(trace_ray(scene, scene.ceiling, ray, cfg),
+        assert isinstance(trace_ray(scene, mirror_panel(scene), ray, cfg),
                           Terminated)
-        code, _ = _trace_batch(scene, scene.ceiling, 3.0, 2.0, [s], [s], cfg)
+        code, _ = _trace_batch(scene, mirror_panel(scene), 3.0, 2.0, [s], [s], cfg)
         assert code.tolist() == [_TERMINATED]
 
     def test_ray_at_an_open_end_escapes(self, scene):
@@ -486,10 +472,10 @@ class TestKernelContract:
         scalar reference alike."""
         x = scene.corridor_x_max - 1e-10
         cfg = TracerConfig(n_rays=2)
-        fate = trace_ray(scene, scene.ceiling,
+        fate = trace_ray(scene, mirror_panel(scene),
                          Ray(Vec2(x, 1.0), Vec2(0.6, 0.8)), cfg)
         assert isinstance(fate, Escaped) and len(fate.path) == 2
-        code, _ = _trace_batch(scene, scene.ceiling, x, 1.0, [0.6], [0.8],
+        code, _ = _trace_batch(scene, mirror_panel(scene), x, 1.0, [0.6], [0.8],
                                cfg)
         assert code.tolist() == [_ESCAPED]
 
@@ -500,7 +486,7 @@ class TestKernelContract:
         fates and gains that the same origin repeated per ray gives; the
         last block is partial."""
         panel = {"static": static_panel, "unbiased": unbiased_panel,
-                 "mirror": scene.ceiling}[kind]
+                 "mirror": mirror_panel(scene)}[kind]
         n = 2 * _BLOCK + 1
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, n)
         inv_sq = TracerConfig(spreading=Spreading.INVERSE_SQUARE)
@@ -525,8 +511,7 @@ class TestKernelContract:
         if kind == "unbiased":
             scn, panel = scene, unbiased_panel
         else:
-            scn = random_scene(rng)
-            panel = scn.ceiling
+            scn, panel = random_scene(rng)
         n = 3 * _BLOCK // 2
         o = scn.tx_origin(0.1)
         angle = rng.uniform(-math.pi, math.pi, n)
@@ -538,35 +523,31 @@ class TestKernelContract:
                                     np.repeat(dy, mult), cfg)
         assert got[2] > 0 and sum(got) == mult.sum()
 
-    def test_panel_must_sit_at_ceiling_height(self, scene):
-        # the kernel's floor-to-ceiling leg is the scene's checked span; the
-        # scalar reference and the quadrature reject what it rejects
-        low = mirror_panel(2.5, -1.0, 4.0, 0.001)
+    @pytest.mark.parametrize("extra", (-1, 1))
+    @pytest.mark.parametrize("entry", ("_trace_batch", "received_power",
+                                       "trace_ray", "analytic_received_power",
+                                       "materialize_normals"))
+    def test_panel_must_match_the_grid(self, scene, entry, extra):
+        """A panel, or a schedule, with one entry too few or too many for
+        the scene's subunits is rejected at every entry point. The panel is
+        steered, and at d = 3.5 the fan reaches the last subunit, which
+        `received_power` would cut into pieces before tracing."""
+        n = scene.subunit_count + extra
+        panel = HsfPanel(np.tile([math.sin(0.01), -math.cos(0.01)], (n, 1)))
         cfg = TracerConfig()
-        with pytest.raises(ValueError, match="ceiling height"):
-            _trace_batch(scene, low, 0.0, 1.0, [0.0], [1.0], cfg)
-        with pytest.raises(ValueError, match="ceiling height"):
-            received_power(scene, low, 0.0, cfg)
-        with pytest.raises(ValueError, match="ceiling height"):
-            trace_ray(scene, low, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg)
-        with pytest.raises(ValueError, match="ceiling height"):
-            analytic_received_power(scene, low, 0.0, 1000)
-
-    @pytest.mark.parametrize("grid", ((-1.0, 0.0, 0.001), (0.0, 5.0, 0.001),
-                                      (-1.0, 4.0, 0.002)))
-    def test_panel_must_share_the_ceiling_grid(self, scene, grid):
-        # a 1 m panel in the 5 m corridor used to pass, and `index_at`
-        # clipped every hit beyond it to its edge subunit
-        other = mirror_panel(3.0, *grid)
-        cfg = TracerConfig()
-        with pytest.raises(ValueError, match="subunit grid"):
-            _trace_batch(scene, other, 0.0, 1.0, [0.0], [1.0], cfg)
-        with pytest.raises(ValueError, match="subunit grid"):
-            received_power(scene, other, 0.0, cfg)
-        with pytest.raises(ValueError, match="subunit grid"):
-            trace_ray(scene, other, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg)
-        with pytest.raises(ValueError, match="subunit grid"):
-            analytic_received_power(scene, other, 0.0, 1000)
+        call = {
+            "_trace_batch": lambda: _trace_batch(scene, panel, 0.0, 1.0,
+                                                 [0.0], [1.0], cfg),
+            "received_power": lambda: received_power(scene, panel, 3.5, cfg),
+            "trace_ray": lambda: trace_ray(
+                scene, panel, Ray(Vec2(0.0, 1.0), Vec2(0.0, 1.0)), cfg),
+            "analytic_received_power": lambda: analytic_received_power(
+                scene, panel, 0.0, 1000),
+            "materialize_normals": lambda: materialize_normals(
+                build_schedule(Static(), n - 1, 250, 0.002), scene),
+        }[entry]
+        with pytest.raises(ValueError, match=f"covers {n} subunits"):
+            call()
 
     def test_cached_fan_is_read_only(self, scene):
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth, 101)
@@ -591,10 +572,8 @@ class TestImageSourceOracle:
            d=st.floats(0.0, 0.5),
            max_bounces=st.integers(1, 39))
     def test_random_mirror_corridors(self, seed, d, max_bounces):
-        scn = random_scene(np.random.default_rng(seed))
-        ceil = scn.ceiling
-        panel = mirror_panel(ceil.y_height, ceil.x_start, ceil.x_end,
-                             ceil.subunit_length)
+        scn, _ = random_scene(np.random.default_rng(seed))
+        panel = mirror_panel(scn)
         o = scn.tx_origin(d)
         dirs = fan_directions(scn.tx.boresight, scn.tx.beam_halfwidth, 2001)
         cfg = TracerConfig(n_rays=2001, max_bounces=max_bounces)
@@ -632,12 +611,12 @@ class TestImageSourceOracle:
         dx = np.concatenate((dx, (c, -c)))
         dy = np.concatenate((dy, (c, c)))
         want = image_source_counts(scene, ox, oy, dx, dy, cfg.max_bounces)
-        assert kernel_counts(scene, scene.ceiling, ox, oy, dx, dy,
+        assert kernel_counts(scene, mirror_panel(scene), ox, oy, dx, dy,
                              cfg) == want
         # the kernel's default sweep takes the fan from one shared origin
         head = image_source_counts(scene, o.x, o.y, dx[:-2], dy[:-2],
                                    cfg.max_bounces)
-        assert kernel_counts(scene, scene.ceiling, o.x, o.y, dx[:-2],
+        assert kernel_counts(scene, mirror_panel(scene), o.x, o.y, dx[:-2],
                              dy[:-2], cfg) == head
         assert head[0] > 0 and head[1] > 0 and head[2] > 0
         assert want[2] == head[2] + 2  # the corner rays are absorbed
@@ -686,13 +665,12 @@ def random_mirror_corridor(rng: np.random.Generator,
         rx_dir = edge + rng.choice((-rx_half, rx_half))
     rx = Antenna(Vec2(rx_x, rx_y), Vec2(math.cos(rx_dir), math.sin(rx_dir)),
                  rx_half)
-    return Scene(ceiling=mirror_panel(ceiling, x_min, x_max, 0.01),
-                 floor_y=floor_y, corridor_x_min=x_min, corridor_x_max=x_max,
+    return Scene(floor_y=floor_y, corridor_x_min=x_min, corridor_x_max=x_max,
                  tx=Antenna(Vec2(tx_x, user_h),
                             Vec2(-math.sin(tx_tilt), math.cos(tx_tilt)),
                             tx_half),
                  rx=rx, rx_aperture=Circle(rx.position, radius),
-                 user_height=user_h, ceiling_height=ceiling)
+                 ceiling_height=ceiling, subunit_length=0.01)
 
 
 class TestMirrorEvents:
@@ -709,9 +687,10 @@ class TestMirrorEvents:
         scn = random_mirror_corridor(np.random.default_rng(seed), max_bounces)
         cfg = TracerConfig(n_rays=n_rays, max_bounces=max_bounces,
                            rx_cone_gate=cone)
-        got, batches = counted_power(scn, scn.ceiling, 0.0, cfg)
+        panel = mirror_panel(scn)
+        got, batches = counted_power(scn, panel, 0.0, cfg)
         assert len(batches) == 1 and batches[0][0] < n_rays
-        dense = dense_counts(scn, scn.ceiling, 0.0, cfg)
+        dense = dense_counts(scn, panel, 0.0, cfg)
         assert got == dense
         o = scn.tx.position
         dx, dy = _fan(scn.tx.boresight, scn.tx.beam_halfwidth, n_rays)
@@ -751,8 +730,8 @@ def dense_counts(scn: Scene, panel: HsfPanel, d: float,
 def first_bounce(scn: Scene, panel: HsfPanel, o: Vec2, dx, dy):
     """Step-0 subunit, hit x and reflected direction of upward rays, by the
     kernel's arithmetic."""
-    x = o.x + (panel.y_height - o.y) / dy * dx
-    sub = panel.index_at(x)
+    x = o.x + (scn.ceiling_height - o.y) / dy * dx
+    sub = scn.index_at(x)
     nx, ny = panel.normals_array()[sub].T
     k = 2.0 * (dx * nx + dy * ny)
     rx, ry = dx - k * nx, dy - k * ny
@@ -804,7 +783,7 @@ def random_steered_corridor(rng: np.random.Generator, mode: str,
     scn = cfg.scene()
     steering = {"static": Static(), "unbiased": Unbiased(),
                 "biased": Biased(float(rng.choice((0.1, 0.3, 0.5))), 0)}
-    sch = build_schedule(steering[mode], scn.ceiling.subunit_count - 1, 250,
+    sch = build_schedule(steering[mode], scn.subunit_count - 1, 250,
                          cfg.tx_step)
     return scn, materialize_normals(sch, scn), d
 
@@ -890,7 +869,7 @@ class TestSteeredPieces:
         aim = with_receiver(scene, Vec2(scene.corridor_x_max - 0.05, 2.8),
                             0.01)
         panel = materialize_normals(
-            build_schedule(Static(), scene.ceiling.subunit_count - 1, 250,
+            build_schedule(Static(), scene.subunit_count - 1, 250,
                            0.002), aim)
         o = scene.tx_origin(0.0)
         dx, dy = _fan(scene.tx.boresight, scene.tx.beam_halfwidth,
@@ -929,7 +908,7 @@ class TestSteeredPieces:
         cfg = ExperimentConfig(subunit_length=0.0002, n_rays=2001)
         scn = cfg.scene()
         panel = materialize_normals(
-            build_schedule(Unbiased(), scn.ceiling.subunit_count - 1, 250,
+            build_schedule(Unbiased(), scn.subunit_count - 1, 250,
                            cfg.tx_step), scn)
         tracer_cfg = cfg.tracer_config()
         assert _piece_rays(scn, panel, scn.tx_origin(0.1), tracer_cfg) is None
